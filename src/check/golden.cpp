@@ -114,6 +114,15 @@ GoldenDeployment golden_deployment() {
   return dep;
 }
 
+core::StoreBackendConfig golden_sketch() {
+  core::StoreBackendConfig choice;
+  choice.kind = core::StoreBackendKind::kSketch;
+  choice.sketch.rows = 4;
+  choice.sketch.cols = 2048;
+  choice.sketch.seed = golden_deployment().config.master_seed;
+  return choice;
+}
+
 std::vector<std::byte> golden_value(std::uint64_t k, std::uint32_t bytes) {
   std::vector<std::byte> v(bytes);
   for (std::uint32_t j = 0; j < bytes; ++j) {
@@ -270,6 +279,29 @@ std::vector<Trace> canonical_golden_traces() {
           dst_ctr, dep.reporter, prim.counters, core::sim_key(k),
           0x10101ull * k, psn++));
     }
+    traces.push_back(std::move(t));
+  }
+
+  {
+    Trace t;
+    t.name = "sketch_increment_reports";
+    t.notes = {"sketch-backend FETCH_ADD frames into a sketch-backed golden",
+               "collector (golden_sketch(): 4 rows x 2048 cols): one frame",
+               "per row for sim_key(1..3) with delta 1, then one weighted",
+               "report for sim_key(2), delta 0x0500, one frame per row."};
+    const auto sketch = golden_sketch();
+    core::Collector sketch_collector(cfg, 0, dep.collector_endpoint, sketch);
+    const auto dst_sk = sketch_collector.remote_info();
+    std::uint32_t psn = 0;
+    const auto report = [&](std::uint64_t k, std::uint64_t delta) {
+      for (std::uint32_t row = 0; row < sketch.sketch.rows; ++row) {
+        t.artifacts.push_back(crafter.craft_sketch_increment(
+            dst_sk, dep.reporter, sketch.sketch, core::sim_key(k), row, delta,
+            psn++));
+      }
+    };
+    for (std::uint64_t k = 1; k <= 3; ++k) report(k, 1);
+    report(2, 0x0500);
     traces.push_back(std::move(t));
   }
 

@@ -67,6 +67,11 @@ struct GoldenDeployment {
 };
 [[nodiscard]] GoldenDeployment golden_deployment();
 
+// The sketch backend of the sketch-backed golden collector (same config and
+// endpoint as golden_deployment(), collector id 0). Fixed forever, like the
+// deployment.
+[[nodiscard]] core::StoreBackendConfig golden_sketch();
+
 // The value pattern golden write/multiwrite artifacts carry for sim key id
 // `k` — fixture notes refer to this as "the golden value".
 [[nodiscard]] std::vector<std::byte> golden_value(std::uint64_t k,
@@ -76,6 +81,7 @@ struct GoldenDeployment {
 //   write_reports      RoCEv2 WRITE reports incl. PSN-wraparound frames
 //   atomic_reports     FETCH_ADD and COMPARE_SWAP frames
 //   multiwrite_reports §7 DTA multiwrite frames
+//   sketch_increment_reports per-row FETCH_ADDs into golden_sketch() cells
 //   query_wire         v2 query request/response payloads (UDP payload only)
 [[nodiscard]] std::vector<Trace> canonical_golden_traces();
 

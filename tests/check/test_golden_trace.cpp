@@ -7,6 +7,8 @@
 #include <map>
 
 #include "check/golden.hpp"
+#include "common/hash.hpp"
+#include "common/random.hpp"
 #include "core/collector_ring.hpp"
 #include "core/oracle.hpp"
 #include "core/query_protocol.hpp"
@@ -229,6 +231,44 @@ TEST(GoldenTrace, KeyIncrementReportsReplayAggregates) {
     EXPECT_EQ(collector.counters().read(core::sim_key(k)), 0x10101ull * k)
         << "key " << k;
   }
+}
+
+// The sketch trace pins count-min cell addressing: replayed into a
+// sketch-backed golden collector, the MR must equal a tally built here from
+// the formula itself — row r of a key is cell r*cols + xxhash64(key, s_r) %
+// cols, s_r the r-th SplitMix64 output of the sketch seed.
+TEST(GoldenTrace, SketchIncrementReportsReplayAggregates) {
+  const auto committed = committed_traces();
+  const auto it = committed.find("sketch_increment_reports");
+  ASSERT_NE(it, committed.end());
+  const auto choice = golden_sketch();
+  const auto& sk = choice.sketch;
+  ASSERT_EQ(it->second.artifacts.size(), 4u * sk.rows);
+
+  const auto dep = golden_deployment();
+  core::Collector collector(dep.config, 0, dep.collector_endpoint, choice);
+  for (const auto& frame : it->second.artifacts) {
+    collector.rnic().process_frame(frame);
+  }
+  EXPECT_EQ(collector.ingest_counters().fetch_adds.load(), 4u * sk.rows);
+
+  std::vector<std::uint64_t> tally(sk.rows * sk.cols, 0);
+  const auto add = [&](std::uint64_t k, std::uint64_t delta) {
+    SplitMix64 row_seeds(sk.seed);
+    for (std::uint32_t r = 0; r < sk.rows; ++r) {
+      const std::uint64_t seed = row_seeds.next();
+      tally[r * sk.cols + xxhash64(core::sim_key(k), seed) % sk.cols] += delta;
+    }
+  };
+  for (std::uint64_t k = 1; k <= 3; ++k) add(k, 1);
+  add(2, 0x0500);
+  const auto mr = collector.backend().memory();
+  ASSERT_EQ(mr.size(), tally.size() * 8);
+  EXPECT_EQ(std::memcmp(mr.data(), tally.data(), mr.size()), 0);
+
+  EXPECT_EQ(collector.sketch().estimate(core::sim_key(1)), 1u);
+  EXPECT_EQ(collector.sketch().estimate(core::sim_key(2)), 0x0501u);
+  EXPECT_EQ(collector.sketch().estimate(core::sim_key(3)), 1u);
 }
 
 TEST(GoldenTrace, PostcardReportsReplayAssemblePartialGroups) {
