@@ -162,7 +162,7 @@ LfResult run_load_factor(double lf, std::uint64_t flows,
                            static_cast<double>(updates);
   for (std::uint64_t f = 0; f < flows; ++f) {
     if (truth[f] == 0) continue;
-    const std::uint64_t est = sk.estimate(keys[f]);
+    const std::uint64_t est = sk.cells().estimate(keys[f]);
     sk.offer(keys[f]);  // read-side tracker feed, as the query path does
     const double over = static_cast<double>(est - truth[f]);  // est >= truth
     overestimate_sum += over;

@@ -5,21 +5,20 @@
 //  collectors' memory (saving resources at switches) or to perform
 //  network-wide aggregation of sketches."
 //
-// Two switches maintain ZERO counter state locally; each packet observation
-// becomes a FETCH_ADD frame aimed at (a) a per-flow counter cell and (b) the
-// d cells of a shared count-min sketch in the collector's memory region. The
-// RNIC executes the atomics; the operator reads exact-ish per-flow counts
-// and heavy-hitter estimates without any merge step.
+// Two switches keep ZERO counter state; each packet observation becomes
+// FETCH_ADD frames into one collector: (a) a Key-Increment on the flow's
+// counter cell (on_increment_event) and (b) one add per row of the
+// collector's count-min sketch (on_telemetry's sketch fan-out). The RNIC
+// executes the atomics; the operator reads per-flow counts and sketch
+// estimates straight from collector memory, with no merge step.
 //
 // Build & run:  ./build/examples/rdma_aggregation
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "common/random.hpp"
-#include "core/atomics_store.hpp"
-#include "core/report_crafter.hpp"
-#include "rdma/rnic.hpp"
+#include "core/collector.hpp"
+#include "switchsim/dart_switch.hpp"
 #include "switchsim/topology.hpp"
 #include "telemetry/workload.hpp"
 
@@ -27,94 +26,73 @@ int main() {
   using namespace dart;
   using namespace dart::core;
 
-  // Collector memory: 4K flow-counter cells + a 4x1024 count-min sketch,
-  // both registered as one RDMA MR of 64-bit words.
-  constexpr std::uint64_t kCounterCells = 4096;
-  constexpr std::uint32_t kSketchRows = 4;
-  constexpr std::uint64_t kSketchCols = 1024;
-  constexpr std::uint64_t kWords = kCounterCells + kSketchRows * kSketchCols;
-  std::vector<std::byte> memory(kWords * 8, std::byte{0});
-
-  rdma::SimulatedRnic rnic;
-  const auto pd = rnic.alloc_pd();
-  constexpr std::uint64_t kBase = 0x0000'2000'0000'0000ull;
-  const auto mr = rnic.register_mr(
-      pd, memory, kBase, rdma::Access::kRemoteWrite | rdma::Access::kRemoteAtomic);
-  (void)rnic.create_qp(0x200, rdma::QpType::kRc, pd, rdma::PsnPolicy::kIgnore);
-
-  // Index layouts shared by switches and the operator (stateless, like the
-  // slot mapping): local reference objects provide the cell indices.
-  FlowCounterArray counter_index(kCounterCells, /*seed=*/0xC0);
-  CountMinSketch sketch_index(kSketchRows, kSketchCols, /*seed=*/0x55);
-
-  RemoteStoreInfo dst;
-  dst.collector_id = 0;
-  dst.ip = net::Ipv4Addr::from_octets(10, 0, 100, 1);
-  dst.qpn = 0x200;
-  dst.rkey = mr.value().rkey;
-  dst.base_vaddr = kBase;
-  dst.n_slots = kWords;
-  dst.slot_bytes = 8;
-
-  DartConfig cfg;  // crafter only needs framing params here
-  cfg.n_slots = kWords;
+  DartConfig cfg;
   cfg.value_bytes = 8;
-  const ReportCrafter crafter(cfg);
 
-  // Two switches observe a Zipf workload and emit FETCH_ADD frames.
+  // Collector memory: a 4x1024 count-min sketch as the report MR, plus the
+  // DTA primitive regions, whose counter region holds 4K flow-counter cells.
+  StoreBackendConfig backend;
+  backend.kind = StoreBackendKind::kSketch;
+  backend.sketch.rows = 4;
+  backend.sketch.cols = 1024;
+  backend.sketch.seed = 0x55;
+  DtaPrimitivesConfig prim = default_primitives(cfg.master_seed);
+  prim.counters.n_counters = 4096;
+  prim.counters.seed = 0xC0;
+
+  CollectorEndpoint ep;
+  ep.mac = {0x02, 0xC0, 0, 0, 0, 1};
+  ep.ip = net::Ipv4Addr::from_octets(10, 0, 100, 1);
+  Collector collector(cfg, 0, ep, backend);
+  if (!collector.enable_primitives(prim).ok()) return 1;
+
+  // Two switches share the collector's geometry and observe a Zipf
+  // workload; every frame they emit goes straight to the collector's RNIC.
   const switchsim::FatTree topo(4);
   telemetry::FlowSampler sampler(topo, 300, 1.2, 9);
-  std::uint32_t psn = 0;
   std::vector<std::uint64_t> truth(300, 0);
+  const std::vector<std::byte> value(cfg.value_bytes);
 
-  for (int sw = 0; sw < 2; ++sw) {
-    ReporterEndpoint src;
-    src.ip = net::Ipv4Addr::from_octets(10, 255, 0, static_cast<std::uint8_t>(sw));
-    Xoshiro256 rng(100 + sw);
+  for (std::uint8_t s = 0; s < 2; ++s) {
+    switchsim::DartSwitchPipeline::Config sc;
+    sc.dart = cfg;
+    sc.mac = {0x02, 0, 0, 0, 0, s};
+    sc.ip = net::Ipv4Addr::from_octets(10, 255, 0, s);
+    sc.sketch = backend.sketch;
+    sc.primitives = prim;
+    switchsim::DartSwitchPipeline sw(sc);
+    sw.load_collector(collector.remote_info());
+    sw.load_primitives(collector.remote_ring_info(),
+                       collector.remote_counter_info(),
+                       collector.remote_postcard_info());
+
+    Xoshiro256 rng(100 + s);
     for (int pkt = 0; pkt < 20'000; ++pkt) {
       const auto idx = rng.below(300);
-      const auto& flow = sampler.flow(idx);
       truth[idx] += 1;
-      const auto key = flow.tuple.key_bytes();
-
-      // (a) per-flow counter cell.
-      const std::uint64_t cell = counter_index.index_of(key);
-      auto frame = crafter.craft_fetch_add(dst, src, kBase + cell * 8, 1, psn++);
-      (void)rnic.process_frame(frame);
-
-      // (b) the sketch's d cells.
-      for (const auto sketch_cell : sketch_index.cell_indices(key)) {
-        const std::uint64_t word = kCounterCells + sketch_cell;
-        frame = crafter.craft_fetch_add(dst, src, kBase + word * 8, 1, psn++);
-        (void)rnic.process_frame(frame);
+      const auto key = sampler.flow(idx).tuple.key_bytes();
+      (void)collector.rnic().process_frame(sw.on_increment_event(key, 1));
+      for (const auto& frame : sw.on_telemetry(key, value)) {
+        (void)collector.rnic().process_frame(frame);
       }
     }
   }
   std::printf("RNIC executed %llu FETCH_ADDs from 2 switches "
               "(switch SRAM used for counters: 0 bytes).\n",
-              static_cast<unsigned long long>(rnic.counters().fetch_adds));
-
-  // Operator reads collector memory directly.
-  auto read_word = [&](std::uint64_t word) {
-    std::uint64_t v;
-    std::memcpy(&v, memory.data() + word * 8, 8);
-    return v;
-  };
+              static_cast<unsigned long long>(
+                  collector.ingest_counters().fetch_adds.load()));
 
   std::printf("\nTop-5 flows — truth vs counter cell vs sketch estimate:\n");
-  for (int rank = 0; rank < 5; ++rank) {
+  for (std::uint64_t rank = 0; rank < 5; ++rank) {
     const auto& flow = sampler.flow(rank);
     const auto key = flow.tuple.key_bytes();
-    const std::uint64_t counter = read_word(counter_index.index_of(key));
-    std::uint64_t sketch_est = UINT64_MAX;
-    for (const auto cell : sketch_index.cell_indices(key)) {
-      sketch_est = std::min(sketch_est, read_word(kCounterCells + cell));
-    }
     std::printf("  %-34s truth=%-6llu counter=%-6llu sketch>=%llu\n",
                 flow.tuple.str().c_str(),
                 static_cast<unsigned long long>(truth[rank]),
-                static_cast<unsigned long long>(counter),
-                static_cast<unsigned long long>(sketch_est));
+                static_cast<unsigned long long>(
+                    collector.counters().estimate(key)),
+                static_cast<unsigned long long>(
+                    collector.sketch().cells().estimate(key)));
   }
   std::printf("\n(Counter cells can over-count on hash collisions; the sketch\n"
               "over-estimates by design — both are collector-side only.)\n");

@@ -273,10 +273,11 @@ std::vector<Trace> canonical_golden_traces() {
     t.notes = {"DTA Key-Increment frames: FETCH_ADD on the counter cell of",
                "sim_key(1..3), deltas 0x10101 * k."};
     const auto dst_ctr = collector.remote_counter_info();
+    const auto counter_cells = prim.counters.geometry();
     std::uint32_t psn = 0;
     for (std::uint64_t k = 1; k <= 3; ++k) {
-      t.artifacts.push_back(crafter.craft_key_increment(
-          dst_ctr, dep.reporter, prim.counters, core::sim_key(k),
+      t.artifacts.push_back(crafter.craft_cell_increment(
+          dst_ctr, dep.reporter, counter_cells, core::sim_key(k), /*row=*/0,
           0x10101ull * k, psn++));
     }
     traces.push_back(std::move(t));
@@ -290,13 +291,14 @@ std::vector<Trace> canonical_golden_traces() {
                "per row for sim_key(1..3) with delta 1, then one weighted",
                "report for sim_key(2), delta 0x0500, one frame per row."};
     const auto sketch = golden_sketch();
+    const auto sketch_cells = sketch.sketch.geometry();
     core::Collector sketch_collector(cfg, 0, dep.collector_endpoint, sketch);
     const auto dst_sk = sketch_collector.remote_info();
     std::uint32_t psn = 0;
     const auto report = [&](std::uint64_t k, std::uint64_t delta) {
       for (std::uint32_t row = 0; row < sketch.sketch.rows; ++row) {
-        t.artifacts.push_back(crafter.craft_sketch_increment(
-            dst_sk, dep.reporter, sketch.sketch, core::sim_key(k), row, delta,
+        t.artifacts.push_back(crafter.craft_cell_increment(
+            dst_sk, dep.reporter, sketch_cells, core::sim_key(k), row, delta,
             psn++));
       }
     };
@@ -371,7 +373,7 @@ std::vector<Trace> canonical_golden_traces() {
     cell.op = core::PrimitiveOp::kReadCounter;
     cell.request_id = 2;
     cell.epoch = 0xE1002;
-    cell.cell_index = prim.counters.index_of(ckey);
+    cell.cell_index = prim.counters.geometry().cell_of(ckey, 0);
     cell.counter_value = 0x20202;
     t.artifacts.push_back(core::encode_primitive_response(cell));
 

@@ -86,7 +86,7 @@ core::QueryResult reference_resolve(std::span<const core::SlotView> slots,
 void ReferenceFabric::enable_primitives(
     const core::DtaPrimitivesConfig& config) {
   ring_ = std::make_unique<core::AppendRing>(config.ring);
-  counters_ = std::make_unique<core::CounterCellArray>(config.counters);
+  counters_ = std::make_unique<core::CellArray>(config.counters.geometry());
   postcards_ = std::make_unique<core::PostcardStore>(config.postcards);
 }
 
@@ -277,13 +277,14 @@ std::vector<std::byte> WireDriver::submit(const ReportOp& op) {
     case ReportOp::Kind::kKeyIncrement:
       if (use_template) {
         from_template(key_increment_tpl_, [&](const core::FrameTemplate& tpl) {
-          return crafter_.craft_key_increment_into(
-              tpl, primitives_.counters, key, op.operand, psn, frame);
+          return crafter_.craft_cell_increment_into(
+              tpl, collector_.counters().geometry(), key, /*row=*/0,
+              op.operand, psn, frame);
         });
       } else {
-        frame = crafter_.craft_key_increment(counter_dst_, src_,
-                                             primitives_.counters, key,
-                                             op.operand, psn);
+        frame = crafter_.craft_cell_increment(
+            counter_dst_, src_, collector_.counters().geometry(), key,
+            /*row=*/0, op.operand, psn);
       }
       break;
     case ReportOp::Kind::kPostcard:

@@ -2,10 +2,6 @@
 
 #include <cassert>
 #include <cstring>
-#include <stdexcept>
-#include <string>
-
-#include "common/random.hpp"
 
 namespace dart::core {
 
@@ -41,114 +37,6 @@ void CasInsertStore::write(std::span<const std::byte> key,
   if (claimed) store_->write_one(key, value, 1);
   lock.clear(std::memory_order_release);
   if (claimed) cas_successes_.fetch_add(1, std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// FlowCounterArray
-// ---------------------------------------------------------------------------
-
-FlowCounterArray::FlowCounterArray(std::uint64_t n_counters, std::uint64_t seed)
-    : cells_(n_counters, 0), seed_(seed) {
-  // A zero-cell array is a config error, not a 1-cell array: silently
-  // clamping to 1 used to alias EVERY key onto one counter, turning a typo
-  // into a subtly-wrong aggregate instead of a loud failure.
-  assert(n_counters > 0 && "FlowCounterArray requires n_counters >= 1");
-}
-
-std::uint64_t FlowCounterArray::index_of(
-    std::span<const std::byte> key) const noexcept {
-  return xxhash64(key, seed_) % cells_.size();
-}
-
-std::uint64_t FlowCounterArray::fetch_add(std::span<const std::byte> key,
-                                          std::uint64_t delta) {
-  // One atomic RMW, like the RNIC (which serializes atomics against target
-  // memory). The previous read/add/store triple lost updates under the
-  // sharded ingest pipeline's concurrent feeders. vector<uint64_t> cells
-  // are 8-byte aligned, so atomic_ref is valid while cells() stays a plain
-  // span an MR registration can cover.
-  return std::atomic_ref<std::uint64_t>(cells_[index_of(key)])
-      .fetch_add(delta, std::memory_order_relaxed);
-}
-
-std::uint64_t FlowCounterArray::read(
-    std::span<const std::byte> key) const noexcept {
-  return std::atomic_ref<std::uint64_t>(
-             const_cast<std::uint64_t&>(cells_[index_of(key)]))
-      .load(std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// CountMinSketch
-// ---------------------------------------------------------------------------
-
-CountMinSketch::CountMinSketch(std::uint32_t rows, std::uint64_t cols,
-                               std::uint64_t seed)
-    : rows_(rows),
-      cols_(cols),
-      cells_(static_cast<std::size_t>(rows_) * cols_, 0) {
-  // Same audit as FlowCounterArray: a 0-row or 0-column sketch was silently
-  // clamped to 1, degrading every estimate while looking configured.
-  assert(rows > 0 && cols > 0 && "CountMinSketch requires rows, cols >= 1");
-  SplitMix64 sm(seed);
-  row_seeds_.reserve(rows_);
-  for (std::uint32_t r = 0; r < rows_; ++r) row_seeds_.push_back(sm.next());
-}
-
-void CountMinSketch::add(std::span<const std::byte> key, std::uint64_t delta) {
-  // FETCH_ADD semantics for real: per-cell atomic adds (see the
-  // FlowCounterArray::fetch_add note), so concurrent feeders sum instead of
-  // racing, while cells() remains an MR-registrable plain span.
-  for (std::uint32_t r = 0; r < rows_; ++r) {
-    const std::uint64_t col = xxhash64(key, row_seeds_[r]) % cols_;
-    std::atomic_ref<std::uint64_t>(
-        cells_[static_cast<std::size_t>(r) * cols_ + col])
-        .fetch_add(delta, std::memory_order_relaxed);
-  }
-}
-
-std::uint64_t CountMinSketch::estimate(
-    std::span<const std::byte> key) const noexcept {
-  std::uint64_t best = UINT64_MAX;
-  for (std::uint32_t r = 0; r < rows_; ++r) {
-    const std::uint64_t col = xxhash64(key, row_seeds_[r]) % cols_;
-    best = std::min(
-        best, std::atomic_ref<std::uint64_t>(
-                  const_cast<std::uint64_t&>(
-                      cells_[static_cast<std::size_t>(r) * cols_ + col]))
-                  .load(std::memory_order_relaxed));
-  }
-  return best == UINT64_MAX ? 0 : best;
-}
-
-std::vector<std::uint64_t> CountMinSketch::cell_indices(
-    std::span<const std::byte> key) const {
-  std::vector<std::uint64_t> out;
-  out.reserve(rows_);
-  for (std::uint32_t r = 0; r < rows_; ++r) {
-    const std::uint64_t col = xxhash64(key, row_seeds_[r]) % cols_;
-    out.push_back(static_cast<std::uint64_t>(r) * cols_ + col);
-  }
-  return out;
-}
-
-void CountMinSketch::merge(const CountMinSketch& other) {
-  // Geometry must match or the cell loop reads out of bounds. An assert
-  // vanishes under NDEBUG — release builds used to walk off the end of a
-  // smaller `other` — so the check must fail loudly in every build mode.
-  if (rows_ != other.rows_ || cols_ != other.cols_) {
-    throw std::invalid_argument(
-        "CountMinSketch::merge: geometry mismatch (" + std::to_string(rows_) +
-        "x" + std::to_string(cols_) + " vs " + std::to_string(other.rows_) +
-        "x" + std::to_string(other.cols_) + ")");
-  }
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    std::atomic_ref<std::uint64_t>(cells_[i])
-        .fetch_add(std::atomic_ref<std::uint64_t>(
-                       const_cast<std::uint64_t&>(other.cells_[i]))
-                       .load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  }
 }
 
 }  // namespace dart::core

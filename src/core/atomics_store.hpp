@@ -1,34 +1,22 @@
-// §7 extensions built on RDMA atomics.
+// §7 extension built on RDMA atomics: CasInsertStore — "for N = 2 hashes
+// and an initially empty table, we can use an RDMA write with one hash and
+// Compare & Swap with another (writing to a second slot only if it is
+// empty)". Copy 0 is a plain overwrite; copy 1 is written only when
+// currently empty, so a hot second slot stops being churned by later keys.
+// The CAS is modeled on the first 8 bytes of the slot (an RDMA CAS operates
+// on one aligned 64-bit word): a slot is "empty" iff that word is zero. The
+// ablation_cas bench quantifies the queryability gain.
 //
-// 1. CasInsertStore — "for N = 2 hashes and an initially empty table, we can
-//    use an RDMA write with one hash and Compare & Swap with another
-//    (writing to a second slot only if it is empty)". Copy 0 is a plain
-//    overwrite; copy 1 is written only when currently empty, so a hot
-//    second slot stops being churned by later keys. The CAS is modeled on
-//    the first 8 bytes of the slot (an RDMA CAS operates on one aligned
-//    64-bit word): a slot is "empty" iff that word is zero. The
-//    ablation_cas bench quantifies the queryability gain.
-//
-// 2. FlowCounterArray — per-flow packet/byte counters maintained *in
-//    collector memory* with FETCH_ADD, saving switch SRAM.
-//
-// 3. CountMinSketch — network-wide sketch aggregation: every switch
-//    FETCH_ADDs the same d cells, so the collector-side sketch is the sum of
-//    all switch contributions without any merge step.
-//
-// All three expose (a) a local apply path used by simulations, and (b) the
-// remote cell addresses a switch needs to craft the equivalent RDMA ops;
-// integration tests drive (b) through the simulated RNIC and assert it
-// matches (a).
+// §7's other atomic structures — flow counters and network-wide count-min
+// sketches maintained with FETCH_ADD — are one type, CellArray
+// (cell_array.hpp).
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "common/hash.hpp"
 #include "core/store.hpp"
 
 namespace dart::core {
@@ -67,63 +55,6 @@ class CasInsertStore {
   std::atomic<std::uint64_t> cas_successes_{0};
   // Per-stripe claim locks modeling the RNIC's atomic-op serialization.
   mutable std::array<std::atomic_flag, kClaimStripes> claim_locks_{};
-};
-
-// Flat array of 64-bit counters addressed by key hash.
-class FlowCounterArray {
- public:
-  FlowCounterArray(std::uint64_t n_counters, std::uint64_t seed);
-
-  // Index of the counter owning `key`.
-  [[nodiscard]] std::uint64_t index_of(std::span<const std::byte> key) const noexcept;
-
-  // Local FETCH_ADD; returns the value *before* the add (RDMA semantics).
-  // Atomic per cell (std::atomic_ref over the 8-byte-aligned cell array),
-  // matching the RNIC's serialization of atomics — safe to call from
-  // concurrent sharded-pipeline feeders.
-  std::uint64_t fetch_add(std::span<const std::byte> key, std::uint64_t delta);
-
-  [[nodiscard]] std::uint64_t read(std::span<const std::byte> key) const noexcept;
-
-  // Raw cells, e.g. for registering as an RDMA MR. Plain span on purpose:
-  // atomicity comes from atomic_ref at the access sites, not the type.
-  [[nodiscard]] std::span<std::uint64_t> cells() noexcept { return cells_; }
-  [[nodiscard]] std::uint64_t size() const noexcept { return cells_.size(); }
-
- private:
-  std::vector<std::uint64_t> cells_;
-  std::uint64_t seed_;
-};
-
-// Count-Min sketch over 64-bit cells; `add` touches one cell per row.
-class CountMinSketch {
- public:
-  CountMinSketch(std::uint32_t rows, std::uint64_t cols, std::uint64_t seed);
-
-  // Atomic per-cell adds (see FlowCounterArray::fetch_add).
-  void add(std::span<const std::byte> key, std::uint64_t delta);
-  [[nodiscard]] std::uint64_t estimate(std::span<const std::byte> key) const noexcept;
-
-  // Cell indices (row-major, row*cols + col) that `add` would touch — the
-  // remote FETCH_ADD targets for a switch.
-  [[nodiscard]] std::vector<std::uint64_t> cell_indices(
-      std::span<const std::byte> key) const;
-
-  // Merges another sketch (same geometry) — what FETCH_ADD achieves
-  // implicitly when many switches write into one collector-side sketch.
-  // Throws std::invalid_argument on a geometry mismatch (loud in NDEBUG
-  // builds too; an out-of-bounds walk is never acceptable in release).
-  void merge(const CountMinSketch& other);
-
-  [[nodiscard]] std::uint32_t rows() const noexcept { return rows_; }
-  [[nodiscard]] std::uint64_t cols() const noexcept { return cols_; }
-  [[nodiscard]] std::span<std::uint64_t> cells() noexcept { return cells_; }
-
- private:
-  std::uint32_t rows_;
-  std::uint64_t cols_;
-  std::vector<std::uint64_t> cells_;
-  std::vector<std::uint64_t> row_seeds_;
 };
 
 }  // namespace dart::core

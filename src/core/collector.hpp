@@ -134,7 +134,7 @@ class Collector {
 
   // Collector-side structures over the regions (enable_primitives first).
   [[nodiscard]] AppendRing& ring() noexcept { return *primitives_->ring; }
-  [[nodiscard]] CounterCellArray& counters() noexcept {
+  [[nodiscard]] CellArray& counters() noexcept {
     return *primitives_->counters;
   }
   [[nodiscard]] PostcardStore& postcards() noexcept {
@@ -170,7 +170,7 @@ class Collector {
     std::vector<std::byte> counter_mem;
     std::vector<std::byte> postcard_mem;
     std::unique_ptr<AppendRing> ring;
-    std::unique_ptr<CounterCellArray> counters;
+    std::unique_ptr<CellArray> counters;
     std::unique_ptr<PostcardStore> postcards;
     RemoteStoreInfo ring_info;
     RemoteStoreInfo counter_info;

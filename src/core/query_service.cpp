@@ -173,8 +173,8 @@ std::vector<std::byte> QueryServiceNode::serve_primitive(
       break;
     }
     case PrimitiveOp::kReadCounter: {
-      const CounterCellArray& cells = collector_->counters();
-      response.cell_index = cells.config().index_of(request.key);
+      const CellArray& cells = collector_->counters();
+      response.cell_index = cells.cell_of(request.key, 0);
       response.counter_value = cells.read_cell(response.cell_index);
       break;
     }
@@ -221,7 +221,7 @@ std::vector<std::byte> QueryServiceNode::serve_sketch(
   SketchBackend& sketch = collector_->sketch();
   switch (request.op) {
     case SketchOp::kEstimate:
-      response.estimate = sketch.estimate(request.key);
+      response.estimate = sketch.cells().estimate(request.key);
       // Queried keys are the tracker's candidate stream: the operator's own
       // read traffic maintains the heavy-hitter set, keeping ingest
       // zero-CPU.

@@ -179,23 +179,13 @@ std::vector<std::byte> ReportCrafter::craft_append(
                          psn);
 }
 
-std::vector<std::byte> ReportCrafter::craft_key_increment(
+std::vector<std::byte> ReportCrafter::craft_cell_increment(
     const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-    const CounterArrayConfig& counters, std::span<const std::byte> key,
-    std::uint64_t delta, std::uint32_t psn) const {
-  assert(dst.slot_bytes == 8);
-  return craft_fetch_add(dst, src, dst.slot_vaddr(counters.index_of(key)),
-                         delta, psn);
-}
-
-std::vector<std::byte> ReportCrafter::craft_sketch_increment(
-    const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-    const SketchBackendConfig& sketch, std::span<const std::byte> key,
+    const CellGeometry& cells, std::span<const std::byte> key,
     std::uint32_t row, std::uint64_t delta, std::uint32_t psn) const {
-  assert(dst.backend == StoreBackendKind::kSketch);
   assert(dst.slot_bytes == 8);
-  assert(row < sketch.rows);
-  return craft_fetch_add(dst, src, dst.slot_vaddr(sketch.cell_of(key, row)),
+  assert(row < cells.rows());
+  return craft_fetch_add(dst, src, dst.slot_vaddr(cells.cell_of(key, row)),
                          delta, psn);
 }
 
@@ -510,21 +500,13 @@ std::size_t ReportCrafter::craft_append_into(const FrameTemplate& tpl,
   return len;
 }
 
-std::size_t ReportCrafter::craft_key_increment_into(
-    const FrameTemplate& tpl, const CounterArrayConfig& counters,
-    std::span<const std::byte> key, std::uint64_t delta, std::uint32_t psn,
-    std::span<std::byte> out) const {
-  return craft_fetch_add_into(
-      tpl, tpl.dst_.slot_vaddr(counters.index_of(key)), delta, psn, out);
-}
-
-std::size_t ReportCrafter::craft_sketch_increment_into(
-    const FrameTemplate& tpl, const SketchBackendConfig& sketch,
+std::size_t ReportCrafter::craft_cell_increment_into(
+    const FrameTemplate& tpl, const CellGeometry& cells,
     std::span<const std::byte> key, std::uint32_t row, std::uint64_t delta,
     std::uint32_t psn, std::span<std::byte> out) const {
-  assert(row < sketch.rows);
+  assert(row < cells.rows());
   return craft_fetch_add_into(
-      tpl, tpl.dst_.slot_vaddr(sketch.cell_of(key, row)), delta, psn, out);
+      tpl, tpl.dst_.slot_vaddr(cells.cell_of(key, row)), delta, psn, out);
 }
 
 std::size_t ReportCrafter::craft_postcard_into(

@@ -145,19 +145,14 @@ class ReportCrafter {
       const AppendRingConfig& ring, std::uint64_t seq,
       std::span<const std::byte> value, std::uint32_t psn) const;
 
-  // Key-Increment: FETCH_ADD of `delta` on the cell owning `key`.
-  [[nodiscard]] std::vector<std::byte> craft_key_increment(
+  // Key-Increment and sketch reports: FETCH_ADD of `delta` on row `row`'s
+  // cell of `key` (CellGeometry::cell_of). `dst` is the row of the region
+  // `cells` describes — the counter region, or a sketch-backed collector's
+  // MR (slot_bytes == 8, one slot per cell). One report into an r-row
+  // array is r such frames, one per row.
+  [[nodiscard]] std::vector<std::byte> craft_cell_increment(
       const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-      const CounterArrayConfig& counters, std::span<const std::byte> key,
-      std::uint64_t delta, std::uint32_t psn) const;
-
-  // Sketch backend (store_backend.hpp): FETCH_ADD of `delta` on row `row`'s
-  // cell of `key` in a sketch-backed collector's MR. One telemetry report =
-  // one such frame per sketch row; `dst` is the sketch collector's row
-  // (slot_bytes == 8, one slot per cell).
-  [[nodiscard]] std::vector<std::byte> craft_sketch_increment(
-      const RemoteStoreInfo& dst, const ReporterEndpoint& src,
-      const SketchBackendConfig& sketch, std::span<const std::byte> key,
+      const CellGeometry& cells, std::span<const std::byte> key,
       std::uint32_t row, std::uint64_t delta, std::uint32_t psn) const;
 
   // Postcarding: hop `hop` of `flow_key`'s slot group.
@@ -187,8 +182,8 @@ class ReportCrafter {
   [[nodiscard]] FrameTemplate make_append_template(
       const RemoteStoreInfo& dst, const ReporterEndpoint& src,
       const AppendRingConfig& ring) const;
-  // Key-Increment frames come from make_atomic_template(kRcFetchAdd) with
-  // `dst` = the counter region row; see craft_key_increment_into.
+  // Cell-increment frames come from make_atomic_template(kRcFetchAdd) with
+  // `dst` = the cell region's row; see craft_cell_increment_into.
   [[nodiscard]] FrameTemplate make_postcard_template(
       const RemoteStoreInfo& dst, const ReporterEndpoint& src,
       const PostcardConfig& postcards) const;
@@ -247,20 +242,13 @@ class ReportCrafter {
                                 std::span<const std::byte> value,
                                 std::uint32_t psn,
                                 std::span<std::byte> out) const;
-  // `tpl` must be a kFetchAdd template built for the counter region row.
-  std::size_t craft_key_increment_into(const FrameTemplate& tpl,
-                                       const CounterArrayConfig& counters,
-                                       std::span<const std::byte> key,
-                                       std::uint64_t delta, std::uint32_t psn,
-                                       std::span<std::byte> out) const;
-  // `tpl` must be a kFetchAdd template built for the sketch-backed row.
-  std::size_t craft_sketch_increment_into(const FrameTemplate& tpl,
-                                          const SketchBackendConfig& sketch,
-                                          std::span<const std::byte> key,
-                                          std::uint32_t row,
-                                          std::uint64_t delta,
-                                          std::uint32_t psn,
-                                          std::span<std::byte> out) const;
+  // `tpl` must be a kFetchAdd template built for the cell region's row.
+  std::size_t craft_cell_increment_into(const FrameTemplate& tpl,
+                                        const CellGeometry& cells,
+                                        std::span<const std::byte> key,
+                                        std::uint32_t row, std::uint64_t delta,
+                                        std::uint32_t psn,
+                                        std::span<std::byte> out) const;
   std::size_t craft_postcard_into(const FrameTemplate& tpl,
                                   const PostcardConfig& postcards,
                                   std::span<const std::byte> flow_key,

@@ -1,9 +1,10 @@
 #include "core/store_backend.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstring>
+
+#include "common/random.hpp"
 
 namespace dart::core {
 
@@ -24,69 +25,23 @@ QueryResult KvBackend::resolve(std::span<const std::byte> key,
 // SketchBackend
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// The cells live in raw MR bytes (the RNIC's FETCH_ADD target), host-endian
-// like rdma::SimulatedRnic's atomic execute. Cell offsets are multiples of
-// 8 within an allocation-aligned region, so atomic_ref's alignment
-// requirement holds; atomicity matters because local feeders may be sharded
-// across threads while the region stays a plain MR-registrable byte span.
-std::atomic_ref<std::uint64_t> cell_ref(std::span<std::byte> memory,
-                                        std::uint64_t index) noexcept {
-  return std::atomic_ref<std::uint64_t>(
-      *reinterpret_cast<std::uint64_t*>(memory.data() + index * 8));
+CellGeometry SketchBackendConfig::geometry() const {
+  CellGeometry g{cols, {}};
+  g.row_seeds.reserve(rows);
+  SplitMix64 sm(seed);
+  for (std::uint32_t r = 0; r < rows; ++r) g.row_seeds.push_back(sm.next());
+  return g;
 }
-
-std::uint64_t cell_load(std::span<const std::byte> memory,
-                        std::uint64_t index) noexcept {
-  return std::atomic_ref<std::uint64_t>(
-             *reinterpret_cast<std::uint64_t*>(
-                 const_cast<std::byte*>(memory.data()) + index * 8))
-      .load(std::memory_order_relaxed);
-}
-
-}  // namespace
 
 SketchBackend::SketchBackend(const SketchBackendConfig& config)
-    : config_(config), backing_(static_cast<std::size_t>(config.memory_bytes())) {
+    : config_(config), cells_(config.geometry()) {
   assert(config.valid());
-  row_seeds_.reserve(config_.rows);
-  SplitMix64 sm(config_.seed);
-  for (std::uint32_t r = 0; r < config_.rows; ++r) {
-    row_seeds_.push_back(sm.next());
-  }
 }
 
 SketchBackend::SketchBackend(const SketchBackendConfig& config,
                              std::span<std::byte> memory)
-    : config_(config), backing_(memory) {
+    : config_(config), cells_(config.geometry(), memory) {
   assert(config.valid());
-  assert(memory.size() == config.memory_bytes());
-  row_seeds_.reserve(config_.rows);
-  SplitMix64 sm(config_.seed);
-  for (std::uint32_t r = 0; r < config_.rows; ++r) {
-    row_seeds_.push_back(sm.next());
-  }
-}
-
-void SketchBackend::add(std::span<const std::byte> key, std::uint64_t delta) {
-  for (std::uint32_t r = 0; r < config_.rows; ++r) {
-    cell_ref(backing_.memory(), cell_of(key, r))
-        .fetch_add(delta, std::memory_order_relaxed);
-  }
-}
-
-std::uint64_t SketchBackend::estimate(
-    std::span<const std::byte> key) const noexcept {
-  std::uint64_t best = UINT64_MAX;
-  for (std::uint32_t r = 0; r < config_.rows; ++r) {
-    best = std::min(best, cell_load(backing_.memory(), cell_of(key, r)));
-  }
-  return best == UINT64_MAX ? 0 : best;
-}
-
-std::uint64_t SketchBackend::cell_value(std::uint64_t index) const noexcept {
-  return cell_load(backing_.memory(), index);
 }
 
 QueryResult SketchBackend::resolve(std::span<const std::byte> key,
@@ -94,7 +49,7 @@ QueryResult SketchBackend::resolve(std::span<const std::byte> key,
   // A sketch has no per-key value to vote over; the resolve contract here is
   // the point estimate, serialized 8-byte little-endian (the sim_key width).
   QueryResult result;
-  const std::uint64_t est = estimate(key);
+  const std::uint64_t est = cells_.estimate(key);
   if (est == 0) return result;  // never counted (or column still zero)
   result.outcome = QueryOutcome::kFound;
   result.checksum_matches = config_.rows;  // cells consulted
@@ -108,7 +63,7 @@ QueryResult SketchBackend::resolve(std::span<const std::byte> key,
 }
 
 void SketchBackend::clear() {
-  backing_.clear();
+  cells_.clear();
   candidates_.clear();
   offers_ = 0;
   offers_evicted_ = 0;
@@ -132,13 +87,13 @@ void SketchBackend::offer(std::span<const std::byte> key) {
   std::size_t weakest = 0;
   std::uint64_t weakest_est = UINT64_MAX;
   for (std::size_t i = 0; i < candidates_.size(); ++i) {
-    const std::uint64_t est = estimate(candidates_[i]);
+    const std::uint64_t est = cells_.estimate(candidates_[i]);
     if (est < weakest_est) {
       weakest_est = est;
       weakest = i;
     }
   }
-  if (estimate(key) > weakest_est) {
+  if (cells_.estimate(key) > weakest_est) {
     candidates_[weakest].assign(key.begin(), key.end());
     ++offers_evicted_;
   } else {
@@ -150,7 +105,7 @@ std::vector<HeavyHitter> SketchBackend::top_k(std::size_t k) const {
   std::vector<HeavyHitter> out;
   out.reserve(candidates_.size());
   for (const auto& candidate : candidates_) {
-    out.push_back(HeavyHitter{candidate, estimate(candidate)});
+    out.push_back(HeavyHitter{candidate, cells_.estimate(candidate)});
   }
   std::sort(out.begin(), out.end(),
             [](const HeavyHitter& a, const HeavyHitter& b) {

@@ -29,11 +29,11 @@
 //                 recorded when estimate queries arrive, DTA's "query path
 //                 is the only CPU" discipline).
 //
-// Cell addressing of SketchBackend is IDENTICAL to core::CountMinSketch
-// (same SplitMix64 row-seed derivation, same xxhash64 column hash, same
-// row-major flattening), so a local reference sketch agrees cell-for-cell
-// with the wire path — the backend-differential property in dartcheck pins
-// this byte-for-byte.
+// SketchBackend's cells are a CellArray (cell_array.hpp) whose row seeds
+// are the SplitMix64 outputs of SketchBackendConfig::seed; the switch crafts
+// its per-row FETCH_ADDs from the same CellGeometry, so the wire path and the
+// local apply path agree cell-for-cell — the backend-differential property
+// in dartcheck pins this byte-for-byte.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +41,7 @@
 #include <span>
 #include <vector>
 
-#include "common/hash.hpp"
-#include "common/random.hpp"
+#include "core/cell_array.hpp"
 #include "core/config.hpp"
 #include "core/query.hpp"
 #include "core/store.hpp"
@@ -77,22 +76,8 @@ struct SketchBackendConfig {
     return rows >= 1 && rows <= 32 && cols >= 1 && topk_capacity >= 1;
   }
 
-  // Row r's hash seed — the exact derivation CountMinSketch uses, so wire
-  // and reference paths agree cell-for-cell.
-  [[nodiscard]] std::uint64_t row_seed(std::uint32_t r) const noexcept {
-    SplitMix64 sm(seed);
-    std::uint64_t s = sm.next();
-    for (std::uint32_t i = 0; i < r; ++i) s = sm.next();
-    return s;
-  }
-
-  // Flat cell index (row-major: r*cols + col) row r of `key` maps to. The
-  // remote vaddr of a report's FETCH_ADD is dst.slot_vaddr(cell_of(...)).
-  [[nodiscard]] std::uint64_t cell_of(std::span<const std::byte> key,
-                                      std::uint32_t r) const noexcept {
-    return static_cast<std::uint64_t>(r) * cols +
-           xxhash64(key, row_seed(r)) % cols;
-  }
+  // Row r hashes with the r-th SplitMix64 output of `seed`.
+  [[nodiscard]] CellGeometry geometry() const;
 };
 
 // Backend selection handed to a Collector at bring-up.
@@ -220,35 +205,24 @@ class SketchBackend final : public StoreBackend {
     return config_.memory_bytes();
   }
   [[nodiscard]] std::span<std::byte> memory() noexcept override {
-    return backing_.memory();
+    return cells_.memory();
   }
   [[nodiscard]] std::span<const std::byte> memory() const noexcept override {
-    return backing_.memory();
+    return cells_.memory();
   }
 
   void apply_report(std::span<const std::byte> key,
                     std::span<const std::byte> /*value*/) override {
-    add(key, 1);
+    (void)cells_.fetch_add(key, 1);
   }
   [[nodiscard]] QueryResult resolve(std::span<const std::byte> key,
                                     ReturnPolicy policy) const override;
   void clear() override;
 
-  // --- cell addressing (shared with switch crafting) -----------------------
-  [[nodiscard]] std::uint64_t cell_of(std::span<const std::byte> key,
-                                      std::uint32_t row) const noexcept {
-    return static_cast<std::uint64_t>(row) * config_.cols +
-           xxhash64(key, row_seeds_[row]) % config_.cols;
-  }
-
-  // --- local apply / read of the cells -------------------------------------
-  // Local FETCH_ADD reference: one atomic add per row. Atomic (like the
-  // RNIC, which serializes atomics against target memory) so concurrent
-  // local feeders cannot lose updates.
-  void add(std::span<const std::byte> key, std::uint64_t delta);
-  [[nodiscard]] std::uint64_t estimate(
-      std::span<const std::byte> key) const noexcept;
-  [[nodiscard]] std::uint64_t cell_value(std::uint64_t index) const noexcept;
+  // The count-min cells: addressing (shared with switch crafting), local
+  // FETCH_ADD reference, and point estimates.
+  [[nodiscard]] CellArray& cells() noexcept { return cells_; }
+  [[nodiscard]] const CellArray& cells() const noexcept { return cells_; }
 
   // --- read-side heavy-hitter / top-k tracker ------------------------------
   //
@@ -280,8 +254,7 @@ class SketchBackend final : public StoreBackend {
 
  private:
   SketchBackendConfig config_;
-  std::vector<std::uint64_t> row_seeds_;  // cached config_.row_seed(r)
-  RegionBacking backing_;
+  CellArray cells_;
   std::vector<std::vector<std::byte>> candidates_;
   std::uint64_t offers_ = 0;
   std::uint64_t offers_evicted_ = 0;

@@ -13,7 +13,9 @@ DartSwitchPipeline::DartSwitchPipeline(const Config& config)
       rng_(config.rng_seed),
       psn_regs_(config.max_collectors, 0),
       append_tails_(config.max_collectors, 0),
-      crafter_(config.dart) {
+      crafter_(config.dart),
+      sketch_cells_(config.sketch.geometry()),
+      counter_cells_(config.primitives.counters.geometry()) {
   self_.mac = config.mac;
   self_.ip = config.ip;
   if (config_.dart.selection == core::CollectorSelection::kRing) {
@@ -194,20 +196,20 @@ void DartSwitchPipeline::emit_telemetry(
     // Sketch fan-out: one FETCH_ADD of 1 per sketch row, each consuming its
     // own PSN — a telemetry event on a sketch-backed collector is `rows`
     // wire ops, the aggregation itself happening in the collector's RNIC.
-    for (std::uint32_t row = 0; row < config_.sketch.rows; ++row) {
+    for (std::uint32_t row = 0; row < sketch_cells_.rows(); ++row) {
       const std::uint32_t psn = psn_regs_.rmw(
           collector_id,
           [](std::uint32_t old) { return (old + 1) & 0x00FF'FFFFu; });
       if (tpl_it != egress_tpls_.end() && tpl_it->second.fetch_add.valid()) {
         const core::FrameTemplate& tpl = tpl_it->second.fetch_add;
         auto& frame = frames.emplace_back(tpl.frame_size());
-        const std::size_t len = crafter_.craft_sketch_increment_into(
-            tpl, config_.sketch, key, row, /*delta=*/1, psn, frame);
+        const std::size_t len = crafter_.craft_cell_increment_into(
+            tpl, sketch_cells_, key, row, /*delta=*/1, psn, frame);
         (void)len;
         assert(len == frame.size());
       } else {
-        frames.push_back(crafter_.craft_sketch_increment(
-            dst, self_, config_.sketch, key, row, /*delta=*/1, psn));
+        frames.push_back(crafter_.craft_cell_increment(
+            dst, self_, sketch_cells_, key, row, /*delta=*/1, psn));
       }
       ++counters_.reports_emitted;
       ++counters_.sketch_increments_emitted;
@@ -319,14 +321,14 @@ std::vector<std::byte> DartSwitchPipeline::on_increment_event(
   if (tpl_it != primitive_tpls_.end() && tpl_it->second.increment.valid()) {
     const core::FrameTemplate& tpl = tpl_it->second.increment;
     frame.resize(tpl.frame_size());
-    const std::size_t len = crafter_.craft_key_increment_into(
-        tpl, config_.primitives.counters, key, delta, psn, frame);
+    const std::size_t len = crafter_.craft_cell_increment_into(
+        tpl, counter_cells_, key, /*row=*/0, delta, psn, frame);
     (void)len;
     assert(len == frame.size());
   } else {
-    frame = crafter_.craft_key_increment(rows->counters, self_,
-                                         config_.primitives.counters, key,
-                                         delta, psn);
+    frame = crafter_.craft_cell_increment(rows->counters, self_,
+                                          counter_cells_, key, /*row=*/0,
+                                          delta, psn);
   }
   ++counters_.reports_emitted;
   ++counters_.increments_emitted;

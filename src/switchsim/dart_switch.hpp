@@ -309,6 +309,10 @@ class DartSwitchPipeline {
   // next entry's 1-based sequence number is tail+1.
   RegisterArray<std::uint64_t> append_tails_;
   core::ReportCrafter crafter_;
+  // Cell geometry (row seeds computed once) of sketch-backed collectors and
+  // of the Key-Increment counter region, built from config_.
+  core::CellGeometry sketch_cells_;
+  core::CellGeometry counter_cells_;
   core::ReporterEndpoint self_;
   std::unordered_map<std::uint32_t, EgressTemplates> egress_tpls_;
   std::unordered_map<std::uint32_t, PrimitiveRows> primitive_rows_;

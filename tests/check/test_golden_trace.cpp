@@ -228,7 +228,7 @@ TEST(GoldenTrace, KeyIncrementReportsReplayAggregates) {
   }
   EXPECT_EQ(collector.ingest_counters().fetch_adds.load(), 3u);
   for (std::uint64_t k = 1; k <= 3; ++k) {
-    EXPECT_EQ(collector.counters().read(core::sim_key(k)), 0x10101ull * k)
+    EXPECT_EQ(collector.counters().estimate(core::sim_key(k)), 0x10101ull * k)
         << "key " << k;
   }
 }
@@ -266,9 +266,10 @@ TEST(GoldenTrace, SketchIncrementReportsReplayAggregates) {
   ASSERT_EQ(mr.size(), tally.size() * 8);
   EXPECT_EQ(std::memcmp(mr.data(), tally.data(), mr.size()), 0);
 
-  EXPECT_EQ(collector.sketch().estimate(core::sim_key(1)), 1u);
-  EXPECT_EQ(collector.sketch().estimate(core::sim_key(2)), 0x0501u);
-  EXPECT_EQ(collector.sketch().estimate(core::sim_key(3)), 1u);
+  const auto& cells = collector.sketch().cells();
+  EXPECT_EQ(cells.estimate(core::sim_key(1)), 1u);
+  EXPECT_EQ(cells.estimate(core::sim_key(2)), 0x0501u);
+  EXPECT_EQ(cells.estimate(core::sim_key(3)), 1u);
 }
 
 TEST(GoldenTrace, PostcardReportsReplayAssemblePartialGroups) {
@@ -339,7 +340,7 @@ TEST(GoldenTrace, PrimitiveQueryWirePayloadsParseBack) {
 
   const auto cell = core::parse_primitive_response(it->second.artifacts[4]);
   ASSERT_TRUE(cell.has_value());
-  EXPECT_EQ(cell->cell_index, prim.counters.index_of(ckey));
+  EXPECT_EQ(cell->cell_index, prim.counters.geometry().cell_of(ckey, 0));
   EXPECT_EQ(cell->counter_value, 0x20202u);
 
   const auto path = core::parse_primitive_response(it->second.artifacts[5]);

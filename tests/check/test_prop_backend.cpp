@@ -3,10 +3,11 @@
 // 1. sketch_wire_query_diff — random op streams through the REAL wire path
 //    (crafted FETCH_ADD frames, template fast path and allocating path
 //    mixed, with random per-frame loss) into a sketch-backed collector's
-//    RNIC, diffed cell-for-cell against a reference tally built from
-//    SketchBackendConfig's addressing; then the query protocol's sketch ops
-//    (estimate + top-k) are exercised end-to-end over netsim and checked
-//    against the same reference, including tie-robust top-k inclusion.
+//    RNIC, diffed cell-for-cell against a reference tally whose cell
+//    addressing is recomputed here from xxhash64 and SplitMix64; then the
+//    query protocol's sketch ops (estimate + top-k) are exercised
+//    end-to-end over netsim and checked against the same reference,
+//    including tie-robust top-k inclusion.
 //
 // 2. torn_read_rotation — the read-discipline property from store.hpp: a
 //    writer thread bursts crafted KV reports at the ACTIVE region of a
@@ -25,6 +26,8 @@
 
 #include "check/property.hpp"
 #include "check/rng.hpp"
+#include "common/hash.hpp"
+#include "common/random.hpp"
 #include "core/collector.hpp"
 #include "core/epoch_rotation.hpp"
 #include "core/oracle.hpp"
@@ -76,15 +79,23 @@ std::optional<Failure> sketch_wire_query_diff(Rng& rng) {
 
   core::Collector collector(dart, 0, endpoint(), choice);
   const core::ReportCrafter crafter(dart);
+  const auto cells = cfg.geometry();
   const auto info = collector.remote_info();
   const auto tpl =
       crafter.make_atomic_template(info, reporter(), rdma::Opcode::kRcFetchAdd);
 
-  // Reference tally: one u64 per cell, updated with the backend's own
-  // addressing for exactly the frames that were DELIVERED. Memory layout is
-  // identical to the MR (host-endian u64 cells, row-major), so the diff at
-  // the end is a byte compare.
+  // Reference tally: one u64 per cell, updated for exactly the frames that
+  // were DELIVERED. Row r of a key is cell r*cols + xxhash64(key, s_r) %
+  // cols, s_r the r-th SplitMix64 output of the sketch seed. Memory layout
+  // is identical to the MR (host-endian u64 cells, row-major), so the diff
+  // at the end is a byte compare.
   std::vector<std::uint64_t> ref_cells(cfg.n_cells(), 0);
+  std::vector<std::uint64_t> row_seeds;
+  SplitMix64 sm(cfg.seed);
+  for (std::uint32_t r = 0; r < cfg.rows; ++r) row_seeds.push_back(sm.next());
+  const auto ref_cell = [&](std::span<const std::byte> key, std::uint32_t r) {
+    return r * cfg.cols + xxhash64(key, row_seeds[r]) % cfg.cols;
+  };
 
   const auto n_ops = 1 + rng.below(40);
   std::uint32_t psn = 0;
@@ -97,19 +108,19 @@ std::optional<Failure> sketch_wire_query_diff(Rng& rng) {
       std::vector<std::byte> frame;
       if (rng.chance(0.5)) {
         frame.resize(tpl.frame_size());
-        const auto len = crafter.craft_sketch_increment_into(
-            tpl, cfg, key, row, delta, this_psn, frame);
+        const auto len = crafter.craft_cell_increment_into(
+            tpl, cells, key, row, delta, this_psn, frame);
         if (len != frame.size()) {
           return Failure{"template crafting returned short frame", {}};
         }
       } else {
-        frame = crafter.craft_sketch_increment(info, reporter(), cfg, key, row,
-                                               delta, this_psn);
+        frame = crafter.craft_cell_increment(info, reporter(), cells, key, row,
+                                             delta, this_psn);
       }
       if (!collector.rnic().process_frame(frame).has_value()) {
         return Failure{"RNIC rejected a crafted sketch FETCH_ADD", frame};
       }
-      ref_cells[cfg.cell_of(key, row)] += delta;
+      ref_cells[ref_cell(key, row)] += delta;
     }
   }
 
@@ -127,7 +138,7 @@ std::optional<Failure> sketch_wire_query_diff(Rng& rng) {
     std::uint64_t best = UINT64_MAX;
     const auto key = key_of(id);
     for (std::uint32_t r = 0; r < cfg.rows; ++r) {
-      best = std::min(best, ref_cells[cfg.cell_of(key, r)]);
+      best = std::min(best, ref_cells[ref_cell(key, r)]);
     }
     return best == UINT64_MAX ? 0 : best;
   };

@@ -1,8 +1,8 @@
 // Tests for the sharded multi-threaded ingest pipeline: correctness of the
 // feeder→ring→shard-worker data path, loss accounting, epoch rotation under
-// concurrency, and the seqlock that guards the flip. These tests are the
-// tier-1 TSan targets (tools/check_tsan.sh): every cross-thread interaction
-// in the pipeline is exercised here.
+// concurrency, and the seqlock that guards the flip. These tests are TSan
+// targets (tools/check_sanitize.sh tsan): every cross-thread interaction in
+// the pipeline is exercised here.
 #include "core/ingest_pipeline.hpp"
 
 #include <gtest/gtest.h>

@@ -10,7 +10,6 @@
 #include <memory>
 #include <string>
 
-#include "core/atomics_store.hpp"
 #include "core/collector.hpp"
 #include "core/oracle.hpp"
 #include "core/query_service.hpp"
@@ -113,38 +112,9 @@ TEST(AppendRing, EncodeEntryIsSeqLePlusValue) {
 }
 
 // ---------------------------------------------------------------------------
-// CounterCellArray / PostcardStore — local models
+// PostcardStore — local model (the counter region's CellArray is covered by
+// test_cell_array)
 // ---------------------------------------------------------------------------
-
-TEST(CounterCellArray, FetchAddMirrorsRdmaSemantics) {
-  CounterArrayConfig cfg;
-  cfg.n_counters = 16;
-  cfg.seed = 5;
-  CounterCellArray cells(cfg);
-  const auto key = sim_key(3);
-  EXPECT_EQ(cells.fetch_add(key, 7), 0u);  // returns the prior value
-  EXPECT_EQ(cells.fetch_add(key, 2), 7u);
-  EXPECT_EQ(cells.read(key), 9u);
-  EXPECT_EQ(cells.read_cell(cfg.index_of(key)), 9u);
-}
-
-TEST(CounterCellArray, AgreesWithFlowCounterArrayCellForCell) {
-  // Same hash formula as the §7 sketch reference — the wire path and the
-  // sketch must address the same cells.
-  CounterArrayConfig cfg;
-  cfg.n_counters = 64;
-  cfg.seed = 11;
-  CounterCellArray cells(cfg);
-  FlowCounterArray sketch(cfg.n_counters, cfg.seed);
-  for (std::uint64_t k = 0; k < 200; ++k) {
-    EXPECT_EQ(cfg.index_of(sim_key(k)), sketch.index_of(sim_key(k))) << k;
-    (void)cells.fetch_add(sim_key(k), k + 1);
-    (void)sketch.fetch_add(sim_key(k), k + 1);
-  }
-  for (std::uint64_t c = 0; c < cfg.n_counters; ++c) {
-    EXPECT_EQ(cells.read_cell(c), sketch.cells()[c]) << c;
-  }
-}
 
 TEST(PostcardStore, GroupAssemblyTracksReportedHops) {
   PostcardConfig cfg;
@@ -200,7 +170,8 @@ TEST(Primitives, DefaultConfigIsValidAndSeeded) {
   pc.n_groups = ctr.n_counters = 1024;
   bool diverged = false;
   for (std::uint64_t k = 0; k < 16 && !diverged; ++k) {
-    diverged = ctr.index_of(sim_key(k)) != pc.group_of(sim_key(k));
+    diverged =
+        ctr.geometry().cell_of(sim_key(k), 0) != pc.group_of(sim_key(k));
   }
   EXPECT_TRUE(diverged);
 }
@@ -263,14 +234,15 @@ TEST_F(PrimitiveWireFixture, KeyIncrementFramesAggregateInCells) {
   // Two "switches" (distinct PSN spaces don't matter for FETCH_ADD) add
   // into one array: the result is the network-wide aggregate.
   for (std::uint32_t psn = 0; psn < 6; ++psn) {
-    const auto frame = crafter_->craft_key_increment(
-        dst, src_, prim_.counters, sim_key(psn % 2), 10 + psn, psn);
+    const auto frame = crafter_->craft_cell_increment(
+        dst, src_, prim_.counters.geometry(), sim_key(psn % 2), /*row=*/0,
+        10 + psn, psn);
     collector_->rnic().process_frame(frame);
   }
   EXPECT_EQ(collector_->ingest_counters().fetch_adds.load(), 6u);
   // Key 0 got psn 0,2,4 → 10+12+14; key 1 got 11+13+15.
-  EXPECT_EQ(collector_->counters().read(sim_key(0)), 36u);
-  EXPECT_EQ(collector_->counters().read(sim_key(1)), 39u);
+  EXPECT_EQ(collector_->counters().estimate(sim_key(0)), 36u);
+  EXPECT_EQ(collector_->counters().estimate(sim_key(1)), 39u);
 }
 
 TEST_F(PrimitiveWireFixture, PostcardFramesAssembleTheFlowPath) {
@@ -306,11 +278,12 @@ TEST_F(PrimitiveWireFixture, TemplatePathsAreByteIdentical) {
   EXPECT_EQ(fast, crafter_->craft_append(ring_dst, src_, prim_.ring, 12, value, 9));
 
   fast.assign(inc_tpl.frame_size(), std::byte{0});
-  n = crafter_->craft_key_increment_into(inc_tpl, prim_.counters, sim_key(4),
-                                         77, 9, fast);
+  const auto cells = prim_.counters.geometry();
+  n = crafter_->craft_cell_increment_into(inc_tpl, cells, sim_key(4), 0, 77, 9,
+                                          fast);
   fast.resize(n);
-  EXPECT_EQ(fast, crafter_->craft_key_increment(ctr_dst, src_, prim_.counters,
-                                                sim_key(4), 77, 9));
+  EXPECT_EQ(fast, crafter_->craft_cell_increment(ctr_dst, src_, cells,
+                                                 sim_key(4), 0, 77, 9));
 
   const auto pv = value_of(6, prim_.postcards.value_bytes);
   fast.assign(pc_tpl.frame_size(), std::byte{0});
@@ -434,7 +407,7 @@ TEST_F(PrimitiveQueryFixture, ReadCounterOverTheWire) {
   const auto resp = operator_->take_primitive_response(id);
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->op, PrimitiveOp::kReadCounter);
-  EXPECT_EQ(resp->cell_index, prim_.counters.index_of(key));
+  EXPECT_EQ(resp->cell_index, prim_.counters.geometry().cell_of(key, 0));
   EXPECT_EQ(resp->counter_value, 420u);
 }
 

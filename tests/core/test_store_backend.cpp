@@ -2,17 +2,20 @@
 // agree on (a) MR byte layout, (b) slot/cell addressing — pinned
 // byte-for-byte against switch-side frame crafting through the simulated
 // RNIC, (c) local apply vs wire-path equivalence, and (d) clear/reset.
+// Then §7 network-wide heavy-hitter detection end to end: switches fan
+// telemetry out as per-row FETCH_ADDs into one sketch-backed collector.
 #include "core/store_backend.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <vector>
 
-#include "core/atomics_store.hpp"
 #include "core/collector.hpp"
 #include "core/oracle.hpp"
+#include "common/random.hpp"
 #include "core/report_crafter.hpp"
 #include "switchsim/dart_switch.hpp"
 
@@ -111,27 +114,6 @@ TEST(StoreBackendConformance, CollectorRemoteInfoCarriesBackendGeometry) {
   EXPECT_EQ(sk.remote_info().slot_bytes, 8u);
 }
 
-// --- cell addressing ---------------------------------------------------------
-
-// SketchBackendConfig's addressing must be the exact CountMinSketch
-// derivation: same SplitMix64 row-seed walk, same column hash, same
-// row-major flattening. This is what lets a local reference sketch stand in
-// for the wire path cell-for-cell.
-TEST(StoreBackendConformance, SketchAddressingMatchesCountMinSketch) {
-  const SketchBackendConfig cfg = sketch_config();
-  CountMinSketch reference(cfg.rows, cfg.cols, cfg.seed);
-  SketchBackend backend(cfg);
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    const auto key = sim_key(i);
-    const auto expected = reference.cell_indices(key);
-    ASSERT_EQ(expected.size(), cfg.rows);
-    for (std::uint32_t r = 0; r < cfg.rows; ++r) {
-      EXPECT_EQ(cfg.cell_of(key, r), expected[r]) << "key " << i << " row " << r;
-      EXPECT_EQ(backend.cell_of(key, r), expected[r]);
-    }
-  }
-}
-
 // --- wire path vs local apply ------------------------------------------------
 
 TEST(StoreBackendConformance, KvWirePathMatchesLocalApply) {
@@ -171,8 +153,8 @@ TEST(StoreBackendConformance, SketchWirePathMatchesLocalApply) {
     const auto key = sim_key(i % 40);
     // One report = one FETCH_ADD of 1 per row.
     for (std::uint32_t r = 0; r < cfg.rows; ++r) {
-      const auto frame =
-          crafter.craft_sketch_increment(info, reporter(), cfg, key, r, 1, psn++);
+      const auto frame = crafter.craft_cell_increment(
+          info, reporter(), twin.cells().geometry(), key, r, 1, psn++);
       ASSERT_TRUE(collector.rnic().process_frame(frame).has_value()) << i;
     }
     twin.apply_report(key, {});
@@ -182,7 +164,8 @@ TEST(StoreBackendConformance, SketchWirePathMatchesLocalApply) {
   ASSERT_EQ(wire.size(), local.size());
   EXPECT_TRUE(std::equal(wire.begin(), wire.end(), local.begin()));
   for (std::uint64_t i = 0; i < 40; ++i) {
-    EXPECT_EQ(collector.sketch().estimate(sim_key(i)), twin.estimate(sim_key(i)));
+    EXPECT_EQ(collector.sketch().cells().estimate(sim_key(i)),
+              twin.cells().estimate(sim_key(i)));
   }
 }
 
@@ -241,13 +224,13 @@ TEST(StoreBackendConformance, SketchResolveEncodesEstimate) {
   const auto empty = backend.resolve(sim_key(9), ReturnPolicy::kPlurality);
   EXPECT_EQ(empty.outcome, QueryOutcome::kEmpty);
 
-  backend.add(sim_key(9), 5);
+  (void)backend.cells().fetch_add(sim_key(9), 5);
   const auto found = backend.resolve(sim_key(9), ReturnPolicy::kPlurality);
   ASSERT_EQ(found.outcome, QueryOutcome::kFound);
   ASSERT_EQ(found.value.size(), 8u);
   std::uint64_t est = 0;
   std::memcpy(&est, found.value.data(), 8);
-  EXPECT_EQ(est, backend.estimate(sim_key(9)));
+  EXPECT_EQ(est, backend.cells().estimate(sim_key(9)));
   EXPECT_GE(est, 5u);  // count-min never undercounts
 }
 
@@ -271,7 +254,7 @@ TEST(StoreBackendConformance, ClearZeroesMemoryAndResetsState) {
     ASSERT_EQ(b, std::byte{0});
   }
   EXPECT_EQ(sk.tracked_candidates(), 0u);
-  EXPECT_EQ(sk.estimate(sim_key(1)), 0u);
+  EXPECT_EQ(sk.cells().estimate(sim_key(1)), 0u);
 }
 
 // --- heavy-hitter tracker ----------------------------------------------------
@@ -281,11 +264,11 @@ TEST(SketchBackendTracker, TopKOrdersByLiveEstimate) {
   cfg.topk_capacity = 8;
   SketchBackend backend(cfg);
   for (std::uint64_t i = 0; i < 5; ++i) {
-    backend.add(sim_key(i), (i + 1) * 10);
+    (void)backend.cells().fetch_add(sim_key(i), (i + 1) * 10);
     backend.offer(sim_key(i));
   }
   // Counts are re-estimated at top_k() time, so later adds are reflected.
-  backend.add(sim_key(0), 1000);
+  (void)backend.cells().fetch_add(sim_key(0), 1000);
 
   const auto top = backend.top_k(3);
   ASSERT_EQ(top.size(), 3u);
@@ -300,10 +283,11 @@ TEST(SketchBackendTracker, CapacityEvictionPrefersStrongerCandidates) {
   SketchBackendConfig cfg = sketch_config();
   cfg.topk_capacity = 2;
   SketchBackend backend(cfg);
-  backend.add(sim_key(1), 10);
-  backend.add(sim_key(2), 20);
-  backend.add(sim_key(3), 5);
-  backend.add(sim_key(4), 30);
+  auto& cells = backend.cells();
+  (void)cells.fetch_add(sim_key(1), 10);
+  (void)cells.fetch_add(sim_key(2), 20);
+  (void)cells.fetch_add(sim_key(3), 5);
+  (void)cells.fetch_add(sim_key(4), 30);
 
   backend.offer(sim_key(1));
   backend.offer(sim_key(2));
@@ -330,6 +314,127 @@ TEST(SketchBackendTracker, CapacityEvictionPrefersStrongerCandidates) {
   backend.offer(sim_key(4));
   EXPECT_EQ(backend.tracked_candidates(), 2u);
   EXPECT_EQ(backend.offers_evicted(), 1u);
+}
+
+// --- network-wide heavy hitters (§7) -----------------------------------------
+//
+// "Fetch & Add can be used ... to perform network-wide aggregation of
+// sketches": switches keep no counting state, and the sketch-backed
+// collector's MR is the sum of every switch's contributions with no merge
+// step. Driven through DartSwitchPipeline's sketch fan-out (one FETCH_ADD of
+// 1 per row per telemetry event) into a real Collector's RNIC.
+
+StoreBackendConfig hh_choice() {
+  StoreBackendConfig choice;
+  choice.kind = StoreBackendKind::kSketch;
+  choice.sketch.rows = 4;
+  choice.sketch.cols = 1 << 12;
+  choice.sketch.seed = 0x5E7C;
+  return choice;
+}
+
+switchsim::DartSwitchPipeline hh_switch(std::uint8_t id) {
+  switchsim::DartSwitchPipeline::Config sc;
+  sc.dart = kv_config();
+  sc.mac = {0x02, 0, 0, 0, 0, id};
+  sc.ip = net::Ipv4Addr::from_octets(10, 255, 1, id);
+  sc.sketch = hh_choice().sketch;
+  return switchsim::DartSwitchPipeline(sc);
+}
+
+struct HeavyHitterDeployment {
+  Collector collector{kv_config(), 0, endpoint(), hh_choice()};
+  switchsim::DartSwitchPipeline sw1 = hh_switch(1);
+  switchsim::DartSwitchPipeline sw2 = hh_switch(2);
+
+  HeavyHitterDeployment() {
+    sw1.load_collector(collector.remote_info());
+    sw2.load_collector(collector.remote_info());
+  }
+  // One packet of flow `id` seen at `sw`; every frame must execute.
+  void observe(switchsim::DartSwitchPipeline& sw, std::uint64_t id) {
+    for (const auto& frame : sw.on_telemetry(sim_key(id), value_of(id))) {
+      ASSERT_TRUE(collector.rnic().process_frame(frame).has_value());
+    }
+  }
+  [[nodiscard]] std::uint64_t estimate(std::uint64_t id) const {
+    return collector.sketch().cells().estimate(sim_key(id));
+  }
+};
+
+TEST(HeavyHitters, SingleSwitchCountsThroughRnic) {
+  HeavyHitterDeployment d;
+  for (int i = 0; i < 10; ++i) d.observe(d.sw1, 1);
+  EXPECT_EQ(d.estimate(1), 10u);
+  EXPECT_EQ(d.sw1.counters().sketch_increments_emitted, 10u * 4u);  // per row
+  EXPECT_EQ(d.collector.rnic().counters().fetch_adds, 40u);
+}
+
+TEST(HeavyHitters, SketchNeverUndercounts) {
+  HeavyHitterDeployment d;
+  std::map<std::uint64_t, std::uint64_t> truth;
+  Xoshiro256 rng(3);
+  for (int i = 0; i < 3000; ++i) {
+    const auto id = rng.below(200);
+    truth[id] += 1;
+    d.observe(d.sw1, id);
+  }
+  for (const auto& [id, count] : truth) {
+    EXPECT_GE(d.estimate(id), count) << id;
+  }
+}
+
+TEST(HeavyHitters, MultiSwitchAggregationIsAutomatic) {
+  // Two switches each see half a flow's packets: the collector-side sketch
+  // holds the network-wide total with no merge step.
+  HeavyHitterDeployment d;
+  for (int i = 0; i < 25; ++i) {
+    d.observe(d.sw1, 7);
+    d.observe(d.sw2, 7);
+  }
+  EXPECT_EQ(d.estimate(7), 50u);
+}
+
+TEST(HeavyHitters, WeightedObservations) {
+  // Byte counting: one report carries a weight, one FETCH_ADD per row.
+  HeavyHitterDeployment d;
+  const ReportCrafter crafter(kv_config());
+  const auto info = d.collector.remote_info();
+  const auto& cells = d.collector.sketch().cells();
+  for (std::uint32_t r = 0; r < cells.geometry().rows(); ++r) {
+    const auto frame = crafter.craft_cell_increment(
+        info, reporter(), cells.geometry(), sim_key(3), r, 1400, r);
+    ASSERT_TRUE(d.collector.rnic().process_frame(frame).has_value());
+  }
+  EXPECT_EQ(d.estimate(3), 1400u);
+}
+
+TEST(HeavyHitters, ThresholdReportRecoversElephants) {
+  HeavyHitterDeployment d;
+  Xoshiro256 rng(9);
+  // 5 elephants at 500 packets, 200 mice at < 10.
+  for (std::uint64_t id = 0; id < 205; ++id) {
+    const auto packets = id < 5 ? 500 : rng.below(10);
+    for (std::uint64_t p = 0; p < packets; ++p) d.observe(d.sw1, id);
+  }
+  // The operator's candidates go through the read-side tracker, as estimate
+  // queries do; the elephants must all survive it and clear the threshold.
+  auto& sketch = d.collector.sketch();
+  for (std::uint64_t id = 0; id < 205; ++id) sketch.offer(sim_key(id));
+  std::size_t above = 0;
+  for (const auto& hh : sketch.top_k(hh_choice().sketch.topk_capacity)) {
+    if (hh.count < 400) continue;
+    ++above;
+    EXPECT_GE(hh.count, 500u);  // count-min only over-estimates
+  }
+  EXPECT_EQ(above, 5u);  // perfect recall, no mice promoted
+}
+
+TEST(HeavyHitters, UnknownFlowEstimatesSmall) {
+  HeavyHitterDeployment d;
+  for (std::uint64_t id = 0; id < 100; ++id) d.observe(d.sw1, id);
+  // A never-observed flow collides with at most a handful of counts w.h.p.
+  EXPECT_LE(d.estimate(9999), 3u);
 }
 
 }  // namespace

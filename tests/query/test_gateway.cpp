@@ -535,7 +535,7 @@ class SketchGatewayFixture : public ::testing::Test {
 TEST_F(SketchGatewayFixture, EstimateAndTopKDeltaStandingQuery) {
   auto& session = gateway_->open_session();
   const auto hot = key_of(1);
-  collector_->sketch().add(hot, 10);
+  (void)collector_->sketch().cells().fetch_add(hot, 10);
 
   // The estimate both answers and seeds the heavy-hitter tracker.
   const auto est_id = session.sketch_estimate(hot);
@@ -565,7 +565,7 @@ TEST_F(SketchGatewayFixture, EstimateAndTopKDeltaStandingQuery) {
 
   // A new key enters: exactly one delta notification.
   const auto warm = key_of(2);
-  collector_->sketch().add(warm, 20);
+  (void)collector_->sketch().cells().fetch_add(warm, 20);
   const auto est2 = session.sketch_estimate(warm);
   sim_.run();
   ASSERT_TRUE(session.take_sketch_response(est2).has_value());

@@ -275,9 +275,10 @@ TEST(DartSwitchPrimitives, IncrementAndPostcardMatchHostCrafter) {
   const auto inc_frame = sw.on_increment_event(bytes_of("flow-i"), 42);
   ASSERT_FALSE(inc_frame.empty());
   EXPECT_EQ(inc_frame,
-            crafter.craft_key_increment(rows.counters, src,
-                                        sc.primitives.counters,
-                                        bytes_of("flow-i"), 42, /*psn=*/0));
+            crafter.craft_cell_increment(rows.counters, src,
+                                         sc.primitives.counters.geometry(),
+                                         bytes_of("flow-i"), /*row=*/0, 42,
+                                         /*psn=*/0));
 
   std::vector<std::byte> value(sc.primitives.postcards.value_bytes,
                                std::byte{9});

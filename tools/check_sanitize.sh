@@ -11,8 +11,8 @@
 #          gateway's session/cache paths (the ResultCache hammer drives the
 #          sharded LRU from 8 threads) and the consistent-hash collector
 #          ring's wait-free lookup-vs-rebuild snapshot swap
-#          (CollectorRingHammer). Superset of tools/check_tsan.sh's
-#          target list.
+#          (CollectorRingHammer), plus the CellArray FETCH_ADD hammers
+#          (CellArrayHammer).
 #   all    both, in that order.
 #
 # Usage: tools/check_sanitize.sh [asan|tsan|all] [build-dir-suffix]
@@ -50,12 +50,12 @@ run_tsan() {
   cmake -B "$dir" -S . -DDART_SANITIZE=thread >/dev/null
   cmake --build "$dir" -j \
     --target test_ingest_pipeline test_spsc_ring test_epoch_rotation \
-             test_qp test_prop_pipeline test_atomics_store \
+             test_qp test_prop_pipeline test_atomics_store test_cell_array \
              test_prop_backend test_result_cache test_gateway \
              test_collector_ring >/dev/null
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     ctest --test-dir "$dir" --output-on-failure \
-      -R 'IngestPipeline|RotatingCollector|ShardRouting|SpscRing|SeqCount|RelaxedCounter|QueuePair|PropPipeline|CasInsertStore|FlowCounterArrayHammer|CountMinSketchHammer|DisciplinedReadsNeverTorn|ResultCache|GatewayFixture|CollectorRingHammer'
+      -R 'IngestPipeline|RotatingCollector|ShardRouting|SpscRing|SeqCount|RelaxedCounter|QueuePair|PropPipeline|CasInsertStore|CellArrayHammer|DisciplinedReadsNeverTorn|ResultCache|GatewayFixture|CollectorRingHammer'
   echo "tsan: clean"
 }
 
