@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "common/hash.hpp"
-#include "common/random.hpp"
 #include "core/oracle.hpp"
 #include "core/primitives.hpp"
 #include "core/store_backend.hpp"
@@ -27,44 +26,25 @@ CellArray sketch(std::uint32_t rows, std::uint64_t cols, std::uint64_t seed) {
   return CellArray(cfg.geometry());
 }
 
-// Both configs' addressing, recomputed here from xxhash64 and SplitMix64
-// rather than through CellGeometry: counters hash their one row with the raw
-// seed; sketch row r hashes with the r-th SplitMix64 output of the seed.
-// The cell is r*cols + xxhash64(key, seed_r) % cols. Checked on the config
-// geometries, on a SketchBackend, and on where a local add lands.
-TEST(CellArray, AddressingMatchesFormula) {
+// Counter addressing, recomputed here from xxhash64 rather than through
+// CellGeometry: a counter array hashes its one row with the raw seed, so the
+// cell is xxhash64(key, seed) % n_counters. Checked on the config geometry,
+// on a CellArray, and on where a local add lands.
+TEST(CellArray, CounterAddressingMatchesFormula) {
   CounterArrayConfig ctr;
   ctr.n_counters = 64;
   ctr.seed = 11;
   CellArray counters(ctr.geometry());
   ASSERT_EQ(counters.geometry().rows(), 1u);
 
-  SketchBackendConfig sk;
-  sk.rows = 3;
-  sk.cols = 256;
-  sk.seed = 0x5EED'CAFE;
-  SketchBackend backend(sk);
-  std::vector<std::uint64_t> row_seeds;
-  SplitMix64 sm(sk.seed);
-  for (std::uint32_t r = 0; r < sk.rows; ++r) row_seeds.push_back(sm.next());
-
-  for (std::uint64_t k = 0; k < 64; ++k) {
-    const auto key = sim_key(k);
-    const std::uint64_t ctr_cell = xxhash64(key, ctr.seed) % ctr.n_counters;
-    EXPECT_EQ(ctr.geometry().cell_of(key, 0), ctr_cell) << k;
-    EXPECT_EQ(counters.cell_of(key, 0), ctr_cell) << k;
-    (void)counters.fetch_add(key, k + 1);
-    for (std::uint32_t r = 0; r < sk.rows; ++r) {
-      const std::uint64_t cell =
-          r * sk.cols + xxhash64(key, row_seeds[r]) % sk.cols;
-      EXPECT_EQ(sk.geometry().cell_of(key, r), cell) << k << " row " << r;
-      EXPECT_EQ(backend.cells().cell_of(key, r), cell);
-    }
-  }
-
   std::vector<std::uint64_t> tally(ctr.n_counters, 0);
   for (std::uint64_t k = 0; k < 64; ++k) {
-    tally[xxhash64(sim_key(k), ctr.seed) % ctr.n_counters] += k + 1;
+    const auto key = sim_key(k);
+    const std::uint64_t cell = xxhash64(key, ctr.seed) % ctr.n_counters;
+    EXPECT_EQ(ctr.geometry().cell_of(key, 0), cell) << k;
+    EXPECT_EQ(counters.cell_of(key, 0), cell) << k;
+    (void)counters.fetch_add(key, k + 1);
+    tally[cell] += k + 1;
   }
   for (std::uint64_t c = 0; c < ctr.n_counters; ++c) {
     EXPECT_EQ(counters.read_cell(c), tally[c]) << c;

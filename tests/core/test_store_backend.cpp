@@ -13,6 +13,7 @@
 #include <map>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "core/collector.hpp"
 #include "core/oracle.hpp"
 #include "common/random.hpp"
@@ -98,6 +99,28 @@ TEST(StoreBackendConformance, SketchFactoryGeometry) {
   EXPECT_EQ(backend->slot_bytes(), 8u);
   EXPECT_EQ(backend->memory_bytes(), choice.sketch.memory_bytes());
   EXPECT_EQ(backend->memory().size(), choice.sketch.memory_bytes());
+}
+
+// Sketch addressing, recomputed here from xxhash64 and SplitMix64 rather
+// than through CellGeometry: row r hashes with the r-th SplitMix64 output of
+// the seed, and its cell is r*cols + xxhash64(key, seed_r) % cols. Checked
+// on the config geometry and on a SketchBackend's cells.
+TEST(StoreBackendConformance, SketchAddressingMatchesFormula) {
+  const SketchBackendConfig sk = sketch_config();
+  SketchBackend backend(sk);
+  std::vector<std::uint64_t> row_seeds;
+  SplitMix64 sm(sk.seed);
+  for (std::uint32_t r = 0; r < sk.rows; ++r) row_seeds.push_back(sm.next());
+
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    const auto key = sim_key(k);
+    for (std::uint32_t r = 0; r < sk.rows; ++r) {
+      const std::uint64_t cell =
+          r * sk.cols + xxhash64(key, row_seeds[r]) % sk.cols;
+      EXPECT_EQ(sk.geometry().cell_of(key, r), cell) << k << " row " << r;
+      EXPECT_EQ(backend.cells().cell_of(key, r), cell) << k << " row " << r;
+    }
+  }
 }
 
 TEST(StoreBackendConformance, CollectorRemoteInfoCarriesBackendGeometry) {
