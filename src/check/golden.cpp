@@ -404,6 +404,162 @@ std::vector<Trace> canonical_golden_traces() {
 
   {
     Trace t;
+    t.name = "sketch_query_wire";
+    t.notes = {"sketch query protocol v1 payloads (no L2-L4 headers):",
+               "estimate and top-k requests, then responses: an estimate,",
+               "a 2-hitter top-k, and a sketch-unavailable error."};
+    core::SketchRequest estimate;
+    estimate.op = core::SketchOp::kEstimate;
+    estimate.request_id = 1;
+    estimate.epoch = 0xE2001;
+    const auto ekey = core::sim_key(1);
+    estimate.key.assign(ekey.begin(), ekey.end());
+    t.artifacts.push_back(core::encode_sketch_request(estimate));
+
+    core::SketchRequest topk;
+    topk.op = core::SketchOp::kTopK;
+    topk.request_id = 2;
+    topk.epoch = 0xE2002;
+    topk.k = 4;
+    t.artifacts.push_back(core::encode_sketch_request(topk));
+
+    core::SketchResponse estimated;
+    estimated.op = core::SketchOp::kEstimate;
+    estimated.request_id = 1;
+    estimated.epoch = 0xE2001;
+    estimated.estimate = 0x0502;
+    t.artifacts.push_back(core::encode_sketch_response(estimated));
+
+    core::SketchResponse hitters;
+    hitters.op = core::SketchOp::kTopK;
+    hitters.request_id = 2;
+    hitters.epoch = 0xE2002;
+    for (const auto& [count, k] : {std::pair{0x0503ull, 2ull}, {3ull, 1ull}}) {
+      const auto key = core::sim_key(k);
+      hitters.hitters.push_back(
+          core::HeavyHitterWire{count, {key.begin(), key.end()}});
+    }
+    t.artifacts.push_back(core::encode_sketch_response(hitters));
+
+    core::SketchResponse unavailable;
+    unavailable.op = core::SketchOp::kEstimate;
+    unavailable.request_id = 3;
+    unavailable.epoch = 0xE2003;
+    unavailable.flags = core::kResponseSketchUnavailable;
+    t.artifacts.push_back(core::encode_sketch_response(unavailable));
+    traces.push_back(std::move(t));
+  }
+
+  {
+    Trace t;
+    t.name = "gateway_wire";
+    t.notes = {"gateway protocol v1 payloads (no L2-L4 headers): subscribe",
+               "key-change / counter-threshold / top-k-delta, unsubscribe, an",
+               "accepted and a rejected ack, one notification per kind, then",
+               "the gateway-timeout answers the gateway delivers for a",
+               "query-v2 read, a primitive read-counter and a sketch estimate",
+               "(ids 5..7, epochs 0xe3005..0xe3007)."};
+    const auto key_of = [](std::uint64_t k) {
+      const auto key = core::sim_key(k);
+      return std::vector<std::byte>(key.begin(), key.end());
+    };
+    core::SubscribeRequest change;
+    change.kind = core::StandingKind::kKeyChange;
+    change.request_id = 1;
+    change.epoch = 0xE3001;
+    change.key = key_of(1);
+    t.artifacts.push_back(core::encode_subscribe_request(change));
+
+    core::SubscribeRequest threshold;
+    threshold.kind = core::StandingKind::kCounterThreshold;
+    threshold.request_id = 2;
+    threshold.epoch = 0xE3002;
+    threshold.threshold = 5000;
+    threshold.key = key_of(2);
+    t.artifacts.push_back(core::encode_subscribe_request(threshold));
+
+    core::SubscribeRequest delta;
+    delta.kind = core::StandingKind::kTopKDelta;
+    delta.request_id = 3;
+    delta.epoch = 0xE3003;
+    delta.collector = 1;
+    delta.k = 8;
+    t.artifacts.push_back(core::encode_subscribe_request(delta));
+
+    core::SubscribeRequest unsub;
+    unsub.op = core::SubscribeOp::kUnsubscribe;
+    unsub.request_id = 4;
+    unsub.epoch = 0xE3004;
+    unsub.subscription_id = 0x51;
+    t.artifacts.push_back(core::encode_subscribe_request(unsub));
+
+    core::SubscribeAck accepted;
+    accepted.request_id = 1;
+    accepted.epoch = 0xE3001;
+    accepted.subscription_id = 0x51;
+    t.artifacts.push_back(core::encode_subscribe_ack(accepted));
+
+    core::SubscribeAck rejected;
+    rejected.request_id = 3;
+    rejected.epoch = 0xE3003;
+    rejected.flags = core::kResponseSubscribeRejected;
+    t.artifacts.push_back(core::encode_subscribe_ack(rejected));
+
+    core::StandingNotification changed;
+    changed.kind = core::StandingKind::kKeyChange;
+    changed.subscription_id = 0x51;
+    changed.seq = 1;
+    changed.gateway_epoch = 7;
+    changed.value = 1;
+    changed.key = key_of(1);
+    changed.aux = golden_value(1, cfg.value_bytes);
+    t.artifacts.push_back(core::encode_notification(changed));
+
+    core::StandingNotification crossed;
+    crossed.kind = core::StandingKind::kCounterThreshold;
+    crossed.subscription_id = 0x52;
+    crossed.seq = 1;
+    crossed.gateway_epoch = 8;
+    crossed.value = 5001;
+    crossed.key = key_of(2);
+    t.artifacts.push_back(core::encode_notification(crossed));
+
+    core::StandingNotification entered;
+    entered.kind = core::StandingKind::kTopKDelta;
+    entered.subscription_id = 0x53;
+    entered.seq = 2;
+    entered.gateway_epoch = 9;
+    entered.flags = core::kResponseDegraded;
+    entered.value = 0x0503;
+    entered.key = key_of(4);
+    t.artifacts.push_back(core::encode_notification(entered));
+
+    const std::uint8_t timeout =
+        core::kResponseDegraded | core::kResponseGatewayTimeout;
+    core::QueryResponse kv_timeout;
+    kv_timeout.request_id = 5;
+    kv_timeout.epoch = 0xE3005;
+    kv_timeout.flags = timeout;
+    t.artifacts.push_back(core::encode_query_response(kv_timeout));
+
+    core::PrimitiveResponse counter_timeout;
+    counter_timeout.op = core::PrimitiveOp::kReadCounter;
+    counter_timeout.request_id = 6;
+    counter_timeout.epoch = 0xE3006;
+    counter_timeout.flags = timeout;
+    t.artifacts.push_back(core::encode_primitive_response(counter_timeout));
+
+    core::SketchResponse estimate_timeout;
+    estimate_timeout.op = core::SketchOp::kEstimate;
+    estimate_timeout.request_id = 7;
+    estimate_timeout.epoch = 0xE3007;
+    estimate_timeout.flags = timeout;
+    t.artifacts.push_back(core::encode_sketch_response(estimate_timeout));
+    traces.push_back(std::move(t));
+  }
+
+  {
+    Trace t;
     t.name = "cht_ring16";
     t.notes = {"consistent-hash collector ring, capacity 16, 64 buckets per",
                "member, seed = the golden master seed. Artifact 0: the full-",

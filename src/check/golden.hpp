@@ -83,6 +83,8 @@ struct GoldenDeployment {
 //   multiwrite_reports §7 DTA multiwrite frames
 //   sketch_increment_reports per-row FETCH_ADDs into golden_sketch() cells
 //   query_wire         v2 query request/response payloads (UDP payload only)
+//   primitive_query_wire / sketch_query_wire / gateway_wire  the other three
+//                      UDP/4800 families, gateway-timeout answers included
 [[nodiscard]] std::vector<Trace> canonical_golden_traces();
 
 // Canonical must-reject corpus seeds: every artifact is a full Ethernet

@@ -358,6 +358,122 @@ TEST(GoldenTrace, PrimitiveQueryWirePayloadsParseBack) {
   EXPECT_EQ(unavailable->epoch, 0xE1004u);
 }
 
+TEST(GoldenTrace, SketchQueryWirePayloadsParseBack) {
+  const auto committed = committed_traces();
+  const auto it = committed.find("sketch_query_wire");
+  ASSERT_NE(it, committed.end());
+  const auto& artifacts = it->second.artifacts;
+  ASSERT_EQ(artifacts.size(), 5u);
+
+  const auto estimate = core::parse_sketch_request(artifacts[0]);
+  ASSERT_TRUE(estimate.has_value());
+  EXPECT_EQ(estimate->op, core::SketchOp::kEstimate);
+  EXPECT_EQ(estimate->request_id, 1u);
+  EXPECT_EQ(estimate->epoch, 0xE2001u);
+  const auto ekey = core::sim_key(1);
+  EXPECT_TRUE(std::equal(estimate->key.begin(), estimate->key.end(),
+                         ekey.begin(), ekey.end()));
+
+  const auto topk = core::parse_sketch_request(artifacts[1]);
+  ASSERT_TRUE(topk.has_value());
+  EXPECT_EQ(topk->op, core::SketchOp::kTopK);
+  EXPECT_EQ(topk->k, 4u);
+  EXPECT_TRUE(topk->key.empty());
+
+  const auto estimated = core::parse_sketch_response(artifacts[2]);
+  ASSERT_TRUE(estimated.has_value());
+  EXPECT_FALSE(estimated->unavailable());
+  EXPECT_EQ(estimated->epoch, 0xE2001u);
+  EXPECT_EQ(estimated->estimate, 0x0502u);
+
+  const auto hitters = core::parse_sketch_response(artifacts[3]);
+  ASSERT_TRUE(hitters.has_value());
+  EXPECT_EQ(hitters->op, core::SketchOp::kTopK);
+  ASSERT_EQ(hitters->hitters.size(), 2u);
+  EXPECT_EQ(hitters->hitters[0].count, 0x0503u);
+  const auto hkey = core::sim_key(2);
+  EXPECT_TRUE(std::equal(hitters->hitters[0].key.begin(),
+                         hitters->hitters[0].key.end(), hkey.begin(),
+                         hkey.end()));
+  EXPECT_EQ(hitters->hitters[1].count, 3u);
+
+  const auto unavailable = core::parse_sketch_response(artifacts[4]);
+  ASSERT_TRUE(unavailable.has_value());
+  EXPECT_TRUE(unavailable->unavailable());
+  EXPECT_EQ(unavailable->request_id, 3u);
+  EXPECT_EQ(unavailable->estimate, 0u);
+}
+
+TEST(GoldenTrace, GatewayWirePayloadsParseBack) {
+  const auto committed = committed_traces();
+  const auto it = committed.find("gateway_wire");
+  ASSERT_NE(it, committed.end());
+  const auto& artifacts = it->second.artifacts;
+  ASSERT_EQ(artifacts.size(), 12u);
+
+  const core::StandingKind kinds[] = {core::StandingKind::kKeyChange,
+                                      core::StandingKind::kCounterThreshold,
+                                      core::StandingKind::kTopKDelta};
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    const auto sub = core::parse_subscribe_request(artifacts[id - 1]);
+    ASSERT_TRUE(sub.has_value()) << "subscribe " << id;
+    EXPECT_EQ(sub->op, core::SubscribeOp::kSubscribe);
+    EXPECT_EQ(sub->kind, kinds[id - 1]);
+    EXPECT_EQ(sub->request_id, id);
+    EXPECT_EQ(sub->epoch, 0xE3000u + id);
+  }
+  EXPECT_EQ(core::parse_subscribe_request(artifacts[1])->threshold, 5000u);
+  const auto delta = core::parse_subscribe_request(artifacts[2]);
+  EXPECT_EQ(delta->collector, 1u);
+  EXPECT_EQ(delta->k, 8u);
+  EXPECT_TRUE(delta->key.empty());
+
+  const auto unsub = core::parse_subscribe_request(artifacts[3]);
+  ASSERT_TRUE(unsub.has_value());
+  EXPECT_EQ(unsub->op, core::SubscribeOp::kUnsubscribe);
+  EXPECT_EQ(unsub->subscription_id, 0x51u);
+
+  const auto accepted = core::parse_subscribe_ack(artifacts[4]);
+  ASSERT_TRUE(accepted.has_value());
+  EXPECT_FALSE(accepted->rejected());
+  EXPECT_EQ(accepted->subscription_id, 0x51u);
+  const auto rejected = core::parse_subscribe_ack(artifacts[5]);
+  ASSERT_TRUE(rejected.has_value());
+  EXPECT_TRUE(rejected->rejected());
+  EXPECT_EQ(rejected->subscription_id, 0u);
+
+  for (std::size_t n = 0; n < 3; ++n) {
+    const auto note = core::parse_notification(artifacts[6 + n]);
+    ASSERT_TRUE(note.has_value()) << "notification " << n;
+    EXPECT_EQ(note->kind, kinds[n]);
+    EXPECT_EQ(note->subscription_id, 0x51u + n);
+  }
+  const auto changed = core::parse_notification(artifacts[6]);
+  EXPECT_EQ(changed->aux,
+            golden_value(1, golden_deployment().config.value_bytes));
+  EXPECT_EQ(core::parse_notification(artifacts[7])->value, 5001u);
+  EXPECT_EQ(core::parse_notification(artifacts[8])->flags,
+            core::kResponseDegraded);
+
+  const std::uint8_t timeout =
+      core::kResponseDegraded | core::kResponseGatewayTimeout;
+  const auto kv = core::parse_query_response(artifacts[9]);
+  ASSERT_TRUE(kv.has_value());
+  EXPECT_EQ(kv->flags, timeout);
+  EXPECT_EQ(kv->outcome, core::QueryOutcome::kEmpty);
+  EXPECT_EQ(kv->request_id, 5u);
+  const auto counter = core::parse_primitive_response(artifacts[10]);
+  ASSERT_TRUE(counter.has_value());
+  EXPECT_EQ(counter->flags, timeout);
+  EXPECT_EQ(counter->op, core::PrimitiveOp::kReadCounter);
+  EXPECT_EQ(counter->epoch, 0xE3006u);
+  const auto estimate = core::parse_sketch_response(artifacts[11]);
+  ASSERT_TRUE(estimate.has_value());
+  EXPECT_EQ(estimate->flags, timeout);
+  EXPECT_EQ(estimate->op, core::SketchOp::kEstimate);
+  EXPECT_EQ(estimate->request_id, 7u);
+}
+
 // --- consistent-hash ring fixture --------------------------------------------
 
 // The cht_ring16 fixture pins the 16-collector consistent-hash mapping: a

@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <vector>
 
+#include "check/golden.hpp"
 #include "core/cluster.hpp"
 #include "core/primitives.hpp"
+#include "core/oracle.hpp"
 #include "core/query_service.hpp"
 #include "net/netsim.hpp"
 #include "obs/metric.hpp"
@@ -35,6 +38,34 @@ std::vector<std::byte> value_of(std::uint64_t v) {
   std::memcpy(out.data(), &v, 8);
   return out;
 }
+
+// A bare wire endpoint: sends hand-built payloads to one node and records
+// every payload that comes back verbatim, so a test can compare the bytes a
+// gateway emits rather than a parse of them.
+class RawClient final : public net::Node {
+ public:
+  RawClient(net::Ipv4Addr ip, net::NodeId peer) : ip_(ip), peer_(peer) {}
+
+  void send(net::Ipv4Addr to, std::span<const std::byte> payload) {
+    net::UdpFrameSpec spec;
+    spec.src_ip = ip_;
+    spec.dst_ip = to;
+    spec.src_port = core::kDartQueryUdpPort;
+    spec.dst_port = core::kDartQueryUdpPort;
+    sim_->send(self_, peer_, net::Packet(net::build_udp_frame(spec, payload)));
+  }
+
+  void receive(net::Packet packet, std::uint64_t /*now_ns*/) override {
+    const auto frame = net::parse_udp_frame(packet.bytes());
+    if (frame) received.emplace_back(frame->payload.begin(), frame->payload.end());
+  }
+
+  std::vector<std::vector<std::byte>> received;
+
+ private:
+  net::Ipv4Addr ip_;
+  net::NodeId peer_;
+};
 
 // Gateway in front of a 2-collector KV cluster with primitives enabled,
 // plus a wire-side OperatorClient whose "services" are the virtual IPs.
@@ -250,6 +281,53 @@ TEST_F(GatewayFixture, OfflineServiceSynthesizesFlaggedTimeout) {
   ASSERT_TRUE(live.has_value());
   EXPECT_EQ(live->flags, 0u);
   EXPECT_EQ(live->value, value_of(44));
+}
+
+// The gateway-timeout answer of each read family, as a wire client sees it,
+// is pinned byte for byte by the last three artifacts of the committed
+// tests/golden/gateway_wire.hex (downstream ids 5..7, epochs 0xe3005..7).
+TEST_F(GatewayFixture, SynthesizedTimeoutsMatchTheGoldenFrames) {
+  const auto golden = check::read_trace_file(std::string(DART_SOURCE_DIR) +
+                                             "/tests/golden/gateway_wire.hex");
+  ASSERT_TRUE(golden.has_value());
+  ASSERT_EQ(golden->artifacts.size(), 12u);
+  for (auto& svc : services_) svc->set_online(false);
+
+  const auto raw_ip = net::Ipv4Addr::from_octets(10, 9, 9, 10);
+  RawClient raw(raw_ip, gateway_->id());
+  const auto raw_node = sim_.add_node(raw);
+  arp_.emplace_back(raw_ip, raw_node);
+  sim_.connect(raw_node, gateway_->id(), /*latency_ns=*/1000);
+
+  const auto key = core::sim_key(1);
+  core::QueryRequest kv;
+  kv.request_id = 5;
+  kv.epoch = 0xE3005;
+  kv.key.assign(key.begin(), key.end());
+  core::PrimitiveRequest counter;
+  counter.op = core::PrimitiveOp::kReadCounter;
+  counter.request_id = 6;
+  counter.epoch = 0xE3006;
+  counter.key = kv.key;
+  core::SketchRequest estimate;
+  estimate.op = core::SketchOp::kEstimate;
+  estimate.request_id = 7;
+  estimate.epoch = 0xE3007;
+  estimate.key = kv.key;
+  const auto gw_ip = gateway_->config().gateway_ip;
+  raw.send(gw_ip, core::encode_query_request(kv));
+  raw.send(gw_ip, core::encode_primitive_request(counter));
+  raw.send(gw_ip, core::encode_sketch_request(estimate));
+  sim_.run();
+
+  EXPECT_EQ(gateway_->upstream_timeouts(), 3u);
+  ASSERT_EQ(raw.received.size(), 3u);
+  for (std::size_t i = 9; i < 12; ++i) {
+    EXPECT_NE(std::find(raw.received.begin(), raw.received.end(),
+                        golden->artifacts[i]),
+              raw.received.end())
+        << "gateway_wire artifact " << i << " was not delivered verbatim";
+  }
 }
 
 TEST_F(GatewayFixture, WireClientRidesVirtualIpsTransparently) {
