@@ -1,528 +1,605 @@
 #include "core/query_protocol.hpp"
 
 #include <algorithm>
-
-#include "common/bytes.hpp"
+#include <cstring>
 
 namespace dart::core {
 
 namespace {
-constexpr std::uint16_t kMagicRequest = 0x4451;   // "DQ"
-constexpr std::uint16_t kMagicResponse = 0x4452;  // "DR"
-constexpr std::uint16_t kMagicPrimitiveRequest = 0x4470;   // "Dp"
-constexpr std::uint16_t kMagicPrimitiveResponse = 0x4472;  // "Dr"
-constexpr std::uint16_t kMagicSketchRequest = 0x4453;   // "DS"
-constexpr std::uint16_t kMagicSketchResponse = 0x4454;  // "DT"
-constexpr std::uint16_t kMagicSubscribeRequest = 0x4455;  // "DU"
-constexpr std::uint16_t kMagicSubscribeAck = 0x4456;      // "DV"
-constexpr std::uint16_t kMagicNotification = 0x4457;      // "DW"
 
-bool valid_standing_kind(std::uint8_t kind) {
-  return kind >= static_cast<std::uint8_t>(StandingKind::kKeyChange) &&
-         kind <= static_cast<std::uint8_t>(StandingKind::kTopKDelta);
+constexpr bool table_matches_frame_kind() {
+  for (const FrameKind& kind : kFrameKinds) {
+    if (&frame_kind(kind.family, kind.direction) != &kind) return false;
+  }
+  return true;
+}
+static_assert(table_matches_frame_kind(),
+              "kFrameKinds rows must sit where frame_kind() looks for them");
+
+// Ops of every family are numbered from 1 up to `last`.
+template <class Op>
+bool decode_op(Op& out, std::uint8_t op, Op last) {
+  if (op == 0 || op > static_cast<std::uint8_t>(last)) return false;
+  out = static_cast<Op>(op);
+  return true;
 }
 
-bool valid_primitive_op(std::uint8_t op) {
-  return op >= static_cast<std::uint8_t>(PrimitiveOp::kDrainRing) &&
-         op <= static_cast<std::uint8_t>(PrimitiveOp::kReadPostcardGroup);
+template <bool Keep>
+void keep(std::vector<std::byte>& out, std::span<const std::byte> bytes) {
+  if constexpr (Keep) out.assign(bytes.begin(), bytes.end());
 }
 
-bool valid_sketch_op(std::uint8_t op) {
-  return op == static_cast<std::uint8_t>(SketchOp::kEstimate) ||
-         op == static_cast<std::uint8_t>(SketchOp::kTopK);
+// A span of at most 0xFFFF elements, as a count-prefixed list carries.
+template <class T>
+std::span<const T> capped(const std::vector<T>& items) {
+  return {items.data(), std::min<std::size_t>(items.size(), 0xFFFF)};
 }
 
-std::uint16_t peek_magic(std::span<const std::byte> payload) {
+// Per-message codec: the frame kind, the header op byte, and the body. Body
+// readers store what they read only when `Keep`, so the same walk validates
+// a frame in place without allocating.
+template <class Msg>
+struct Wire;
+
+template <>
+struct Wire<QueryResponse> {
+  static constexpr Family kFamily = Family::kQuery;
+  static constexpr Direction kDirection = Direction::kResponse;
+  static std::uint8_t op(const QueryResponse& m) {
+    return m.outcome == QueryOutcome::kFound ? 1 : 0;
+  }
+  static bool set_op(QueryResponse& m, std::uint8_t op) {
+    m.outcome = op != 0 ? QueryOutcome::kFound : QueryOutcome::kEmpty;
+    return true;
+  }
+  static void write(BufWriter& w, const QueryResponse& m) {
+    w.u8(m.checksum_matches);
+    w.u8(m.distinct_values);
+    w.be16(static_cast<std::uint16_t>(m.value.size()));
+    w.bytes(m.value);
+  }
+  template <bool Keep>
+  static bool read(BufReader& r, QueryResponse& m) {
+    m.checksum_matches = r.u8();
+    m.distinct_values = r.u8();
+    const auto value = r.view(r.be16());
+    if (!r.ok() || (m.outcome == QueryOutcome::kFound && value.empty())) {
+      return false;
+    }
+    keep<Keep>(m.value, value);
+    return true;
+  }
+};
+
+template <>
+struct Wire<PrimitiveResponse> {
+  static constexpr Family kFamily = Family::kPrimitive;
+  static constexpr Direction kDirection = Direction::kResponse;
+  static std::uint8_t op(const PrimitiveResponse& m) {
+    return static_cast<std::uint8_t>(m.op);
+  }
+  static bool set_op(PrimitiveResponse& m, std::uint8_t op) {
+    return decode_op(m.op, op, PrimitiveOp::kReadPostcardGroup);
+  }
+  static void write(BufWriter& w, const PrimitiveResponse& m) {
+    switch (m.op) {
+      case PrimitiveOp::kDrainRing: {
+        const auto entries = capped(m.entries);
+        w.be64(m.missed);
+        w.be64(m.next_seq);
+        w.be16(m.entry_value_bytes);
+        w.be16(static_cast<std::uint16_t>(entries.size()));
+        for (const RingEntryWire& entry : entries) {
+          w.be64(entry.seq);
+          w.bytes(entry.value);
+        }
+        return;
+      }
+      case PrimitiveOp::kReadCounter:
+        w.be64(m.cell_index);
+        w.be64(m.counter_value);
+        return;
+      case PrimitiveOp::kReadPostcardGroup:
+        w.be64(m.group_index);
+        w.u8(m.max_hops);
+        w.be32(m.valid_mask);
+        w.be16(m.hop_value_bytes);
+        for (const auto& hop : m.hops) w.bytes(hop);
+        return;
+    }
+  }
+  template <bool Keep>
+  static bool read(BufReader& r, PrimitiveResponse& m) {
+    switch (m.op) {
+      case PrimitiveOp::kDrainRing: {
+        m.missed = r.be64();
+        m.next_seq = r.be64();
+        m.entry_value_bytes = r.be16();
+        const std::uint16_t count = r.be16();
+        if (!r.ok()) return false;
+        if constexpr (Keep) m.entries.reserve(count);
+        for (std::uint16_t i = 0; i < count; ++i) {
+          const std::uint64_t seq = r.be64();
+          const auto value = r.view(m.entry_value_bytes);
+          if (!r.ok()) return false;
+          if constexpr (Keep) {
+            m.entries.push_back(RingEntryWire{seq, {value.begin(), value.end()}});
+          }
+        }
+        return true;
+      }
+      case PrimitiveOp::kReadCounter:
+        m.cell_index = r.be64();
+        m.counter_value = r.be64();
+        return r.ok();
+      case PrimitiveOp::kReadPostcardGroup:
+        m.group_index = r.be64();
+        m.max_hops = r.u8();
+        m.valid_mask = r.be32();
+        m.hop_value_bytes = r.be16();
+        if (!r.ok() || m.max_hops > 32) return false;
+        if (m.max_hops < 32 && (m.valid_mask >> m.max_hops) != 0) return false;
+        if constexpr (Keep) m.hops.reserve(m.max_hops);
+        for (std::uint8_t hop = 0; hop < m.max_hops; ++hop) {
+          const auto value = r.view(m.hop_value_bytes);
+          if (!r.ok()) return false;
+          if constexpr (Keep) m.hops.emplace_back(value.begin(), value.end());
+        }
+        return true;
+    }
+    return false;
+  }
+};
+
+template <>
+struct Wire<SketchResponse> {
+  static constexpr Family kFamily = Family::kSketch;
+  static constexpr Direction kDirection = Direction::kResponse;
+  static std::uint8_t op(const SketchResponse& m) {
+    return static_cast<std::uint8_t>(m.op);
+  }
+  static bool set_op(SketchResponse& m, std::uint8_t op) {
+    return decode_op(m.op, op, SketchOp::kTopK);
+  }
+  static void write(BufWriter& w, const SketchResponse& m) {
+    if (m.op == SketchOp::kEstimate) {
+      w.be64(m.estimate);
+      return;
+    }
+    const auto hitters = capped(m.hitters);
+    w.be16(static_cast<std::uint16_t>(hitters.size()));
+    for (const HeavyHitterWire& hh : hitters) {
+      w.be64(hh.count);
+      w.be16(static_cast<std::uint16_t>(hh.key.size()));
+      w.bytes(hh.key);
+    }
+  }
+  template <bool Keep>
+  static bool read(BufReader& r, SketchResponse& m) {
+    if (m.op == SketchOp::kEstimate) {
+      m.estimate = r.be64();
+      return r.ok();
+    }
+    const std::uint16_t count = r.be16();
+    if (!r.ok()) return false;
+    if constexpr (Keep) m.hitters.reserve(count);
+    for (std::uint16_t i = 0; i < count; ++i) {
+      const std::uint64_t estimate = r.be64();
+      const auto key = r.view(r.be16());
+      if (!r.ok() || key.empty()) return false;
+      if constexpr (Keep) {
+        m.hitters.push_back(HeavyHitterWire{estimate, {key.begin(), key.end()}});
+      }
+    }
+    return true;
+  }
+};
+
+template <>
+struct Wire<SubscribeAck> {
+  static constexpr Family kFamily = Family::kGateway;
+  static constexpr Direction kDirection = Direction::kResponse;
+  static std::uint8_t op(const SubscribeAck& m) {
+    return static_cast<std::uint8_t>(m.op);
+  }
+  static bool set_op(SubscribeAck& m, std::uint8_t op) {
+    return decode_op(m.op, op, SubscribeOp::kUnsubscribe);
+  }
+  static void write(BufWriter& w, const SubscribeAck& m) {
+    w.be64(m.subscription_id);
+  }
+  template <bool Keep>
+  static bool read(BufReader& r, SubscribeAck& m) {
+    m.subscription_id = r.be64();
+    return r.ok();
+  }
+};
+
+template <>
+struct Wire<SubscribeRequest> {
+  static constexpr Family kFamily = Family::kGateway;
+  static constexpr Direction kDirection = Direction::kRequest;
+  static std::uint8_t op(const SubscribeRequest& m) {
+    return static_cast<std::uint8_t>(m.op);
+  }
+  static bool set_op(SubscribeRequest& m, std::uint8_t op) {
+    return decode_op(m.op, op, SubscribeOp::kUnsubscribe);
+  }
+  static void write(BufWriter& w, const SubscribeRequest& m) {
+    w.u8(static_cast<std::uint8_t>(m.kind));
+    w.be32(m.collector);
+    w.be64(m.threshold);
+    w.be16(m.k);
+    w.be64(m.subscription_id);
+    w.be16(static_cast<std::uint16_t>(m.key.size()));
+    w.bytes(m.key);
+  }
+  template <bool Keep>
+  static bool read(BufReader& r, SubscribeRequest& m) {
+    if (!decode_op(m.kind, r.u8(), StandingKind::kTopKDelta)) return false;
+    m.collector = r.be32();
+    m.threshold = r.be64();
+    m.k = r.be16();
+    m.subscription_id = r.be64();
+    const auto key = r.view(r.be16());
+    if (!r.ok()) return false;
+    keep<Keep>(m.key, key);
+    return true;
+  }
+};
+
+// The notification's op byte is its standing kind; no id or epoch follows.
+template <>
+struct Wire<StandingNotification> {
+  static constexpr Family kFamily = Family::kGateway;
+  static constexpr Direction kDirection = Direction::kNotification;
+  static std::uint8_t op(const StandingNotification& m) {
+    return static_cast<std::uint8_t>(m.kind);
+  }
+  static bool set_op(StandingNotification& m, std::uint8_t op) {
+    return decode_op(m.kind, op, StandingKind::kTopKDelta);
+  }
+  static void write(BufWriter& w, const StandingNotification& m) {
+    w.be64(m.subscription_id);
+    w.be64(m.seq);
+    w.be64(m.gateway_epoch);
+    w.u8(m.flags);
+    w.be64(m.value);
+    w.be16(static_cast<std::uint16_t>(m.key.size()));
+    w.bytes(m.key);
+    w.be16(static_cast<std::uint16_t>(m.aux.size()));
+    w.bytes(m.aux);
+  }
+  template <bool Keep>
+  static bool read(BufReader& r, StandingNotification& m) {
+    m.subscription_id = r.be64();
+    m.seq = r.be64();
+    m.gateway_epoch = r.be64();
+    m.flags = r.u8();
+    m.value = r.be64();
+    const auto key = r.view(r.be16());
+    const auto aux = r.view(r.be16());
+    if (!r.ok()) return false;
+    keep<Keep>(m.key, key);
+    keep<Keep>(m.aux, aux);
+    return true;
+  }
+};
+
+template <class Msg>
+std::vector<std::byte> encode_as(const Msg& m) {
+  using W = Wire<Msg>;
+  FrameHeader header;
+  header.op = W::op(m);
+  if constexpr (W::kDirection != Direction::kNotification) {
+    header.request_id = m.request_id;
+    header.epoch = m.epoch;
+  }
+  if constexpr (W::kDirection == Direction::kResponse) {
+    header.flags = m.flags;
+    header.stale_epochs = m.stale_epochs;
+  }
+  std::vector<std::byte> out;
+  out.reserve(64);  // one allocation for all but long drains and top-k lists
+  BufWriter w(out);
+  write_header(w, frame_kind(W::kFamily, W::kDirection), header);
+  W::write(w, m);
+  return out;
+}
+
+template <class Msg, bool Keep = true>
+std::optional<Msg> parse_as(std::span<const std::byte> payload) {
+  using W = Wire<Msg>;
   BufReader r(payload);
-  const std::uint16_t magic = r.be16();
-  return r.ok() ? magic : 0;
+  const auto header = read_header(r, frame_kind(W::kFamily, W::kDirection));
+  Msg m;
+  if (!header || !W::set_op(m, header->op)) return std::nullopt;
+  if constexpr (W::kDirection != Direction::kNotification) {
+    m.request_id = header->request_id;
+    m.epoch = header->epoch;
+  }
+  if constexpr (W::kDirection == Direction::kResponse) {
+    m.flags = header->flags;
+    m.stale_epochs = header->stale_epochs;
+  }
+  if (!W::template read<Keep>(r, m) || r.remaining() != 0) return std::nullopt;
+  return m;
 }
+
+template <class Msg>
+std::optional<Answer> answer_as(std::span<const std::byte> payload) {
+  auto m = parse_as<Msg>(payload);
+  if (!m) return std::nullopt;
+  return Answer{*std::move(m)};
+}
+
+template <class Msg>
+bool valid_as(std::span<const std::byte> payload) {
+  return parse_as<Msg, /*Keep=*/false>(payload).has_value();
+}
+
+// Response codecs indexed by Family - 1.
+constexpr std::array kAnswerParsers = {
+    &answer_as<QueryResponse>, &answer_as<PrimitiveResponse>,
+    &answer_as<SketchResponse>, &answer_as<SubscribeAck>};
+constexpr std::array kResponseValidators = {
+    &valid_as<QueryResponse>, &valid_as<PrimitiveResponse>,
+    &valid_as<SketchResponse>, &valid_as<SubscribeAck>};
+
+std::size_t response_codec(std::span<const std::byte> payload) {
+  const auto kind = classify(payload);
+  if (!kind || kind->direction != Direction::kResponse) return 0;
+  return static_cast<std::size_t>(kind->family);
+}
+
 }  // namespace
 
-std::vector<std::byte> encode_query_request(const QueryRequest& req) {
+std::optional<FrameKind> classify(std::span<const std::byte> payload) noexcept {
+  if (payload.size() < 2) return std::nullopt;
+  const auto magic = static_cast<std::uint16_t>(
+      std::to_integer<std::uint16_t>(payload[0]) << 8 |
+      std::to_integer<std::uint16_t>(payload[1]));
+  for (const FrameKind& kind : kFrameKinds) {
+    if (kind.magic == magic) return kind;
+  }
+  return std::nullopt;
+}
+
+void write_header(BufWriter& w, const FrameKind& kind, const FrameHeader& header) {
+  w.be16(kind.magic);
+  w.u8(kind.version);
+  w.u8(header.op);
+  if (kind.direction == Direction::kNotification) return;
+  w.be64(header.request_id);
+  w.be32(header.epoch);
+  if (kind.direction != Direction::kResponse) return;
+  w.u8(header.flags);
+  w.be16(header.stale_epochs);
+}
+
+std::optional<FrameHeader> read_header(BufReader& r, const FrameKind& kind) {
+  if (r.be16() != kind.magic || r.u8() != kind.version) return std::nullopt;
+  FrameHeader header;
+  header.op = r.u8();
+  if (kind.direction != Direction::kNotification) {
+    header.request_id = r.be64();
+    header.epoch = r.be32();
+  }
+  if (kind.direction == Direction::kResponse) {
+    header.flags = r.u8();
+    header.stale_epochs = r.be16();
+  }
+  if (!r.ok()) return std::nullopt;
+  return header;
+}
+
+std::uint64_t frame_request_id(std::span<const std::byte> frame) noexcept {
+  if (frame.size() < kFrameIdOffset + 8) return 0;
+  std::uint64_t be = 0;
+  std::memcpy(&be, frame.data() + kFrameIdOffset, sizeof(be));
+  return net_to_host64(be);
+}
+
+void set_frame_request_id(std::span<std::byte> frame, std::uint64_t id) noexcept {
+  if (frame.size() < kFrameIdOffset + 8) return;
+  const std::uint64_t be = host_to_net64(id);
+  std::memcpy(frame.data() + kFrameIdOffset, &be, sizeof(be));
+}
+
+void set_frame_id_epoch(std::span<std::byte> frame, std::uint64_t id,
+                        std::uint32_t epoch) noexcept {
+  if (frame.size() < kRequestHeaderBytes) return;
+  set_frame_request_id(frame, id);
+  const std::uint32_t be = host_to_net32(epoch);
+  std::memcpy(frame.data() + kFrameEpochOffset, &be, sizeof(be));
+}
+
+void add_frame_staleness(std::span<std::byte> frame, std::uint64_t age) noexcept {
+  if (age == 0 || frame.size() < kResponseHeaderBytes) return;
+  frame[kFrameFlagsOffset] |= std::byte{kResponseDegraded};
+  std::uint16_t be = 0;
+  std::memcpy(&be, frame.data() + kFrameStaleOffset, sizeof(be));
+  const std::uint64_t sum = net_to_host16(be) + std::min<std::uint64_t>(age, 0xFFFF);
+  be = host_to_net16(static_cast<std::uint16_t>(std::min<std::uint64_t>(sum, 0xFFFF)));
+  std::memcpy(frame.data() + kFrameStaleOffset, &be, sizeof(be));
+}
+
+const ReadOp* read_op(Family family, std::uint8_t op) noexcept {
+  if (family == Family::kQuery) {
+    // Every return policy reads the same way.
+    return op <= static_cast<std::uint8_t>(ReturnPolicy::kConsensusTwo)
+               ? &kReadOps[0]
+               : nullptr;
+  }
+  for (const ReadOp& row : kReadOps) {
+    if (row.family == family && row.op == op) return &row;
+  }
+  return nullptr;
+}
+
+std::vector<std::byte> encode_read(const ReadRequest& request) {
   std::vector<std::byte> out;
-  out.reserve(18 + req.key.size());
+  out.reserve(kRequestHeaderBytes + 12 + request.key.size());
   BufWriter w(out);
-  w.be16(kMagicRequest);
-  w.u8(kQueryProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(req.policy));
-  w.be64(req.request_id);
-  w.be32(req.epoch);
-  w.be16(static_cast<std::uint16_t>(req.key.size()));
-  w.bytes(req.key);
+  write_header(w, frame_kind(request.family, Direction::kRequest),
+               {request.op, request.request_id, request.epoch});
+  if (request.family == Family::kPrimitive) w.be64(request.max_entries);
+  if (request.family == Family::kSketch) w.be16(request.k);
+  w.be16(static_cast<std::uint16_t>(request.key.size()));
+  w.bytes(request.key);
   return out;
+}
+
+std::optional<ReadRequest> parse_read(std::span<const std::byte> payload) {
+  const auto kind = classify(payload);
+  if (!kind || kind->direction != Direction::kRequest ||
+      kind->family == Family::kGateway) {
+    return std::nullopt;
+  }
+  BufReader r(payload);
+  const auto header = read_header(r, *kind);
+  if (!header) return std::nullopt;
+  const ReadOp* row = read_op(kind->family, header->op);
+  if (row == nullptr) return std::nullopt;
+  ReadRequest request;
+  request.family = kind->family;
+  request.op = header->op;
+  request.request_id = header->request_id;
+  request.epoch = header->epoch;
+  if (request.family == Family::kPrimitive) request.max_entries = r.be64();
+  if (request.family == Family::kSketch) request.k = r.be16();
+  request.key = r.view(r.be16());
+  // A keyed op needs its key; a collector-addressed one must not carry one,
+  // and a top-k must ask for at least one hitter.
+  if (!r.ok() || r.remaining() != 0 || request.key.empty() == row->keyed ||
+      (row->family == Family::kSketch && !row->keyed && request.k == 0)) {
+    return std::nullopt;
+  }
+  return request;
+}
+
+std::vector<std::byte> encode_empty_answer(const ReadOp& row, std::uint8_t flags) {
+  std::vector<std::byte> out;
+  out.reserve(kResponseHeaderBytes + row.empty_body);
+  BufWriter w(out);
+  FrameHeader header;
+  header.op = row.answer_op;
+  header.flags = flags;
+  write_header(w, frame_kind(row.family, Direction::kResponse), header);
+  w.zeros(row.empty_body);
+  return out;
+}
+
+std::vector<std::byte> encode_query_request(const QueryRequest& req) {
+  return encode_read({.family = Family::kQuery,
+                      .op = static_cast<std::uint8_t>(req.policy),
+                      .request_id = req.request_id,
+                      .epoch = req.epoch,
+                      .key = req.key});
 }
 
 std::optional<QueryRequest> parse_query_request(
     std::span<const std::byte> payload) {
-  BufReader r(payload);
-  if (r.be16() != kMagicRequest) return std::nullopt;
-  if (r.u8() != kQueryProtocolVersion) return std::nullopt;
-  QueryRequest req;
-  const std::uint8_t policy = r.u8();
-  if (policy > static_cast<std::uint8_t>(ReturnPolicy::kConsensusTwo)) {
-    return std::nullopt;
-  }
-  req.policy = static_cast<ReturnPolicy>(policy);
-  req.request_id = r.be64();
-  req.epoch = r.be32();
-  const std::uint16_t key_len = r.be16();
-  const auto key = r.view(key_len);
-  if (!r.ok() || key.size() != key_len || key_len == 0) return std::nullopt;
-  req.key.assign(key.begin(), key.end());
-  return req;
-}
-
-std::vector<std::byte> encode_query_response(const QueryResponse& resp) {
-  std::vector<std::byte> out;
-  out.reserve(23 + resp.value.size());
-  BufWriter w(out);
-  w.be16(kMagicResponse);
-  w.u8(kQueryProtocolVersion);
-  w.u8(resp.outcome == QueryOutcome::kFound ? 1 : 0);
-  w.be64(resp.request_id);
-  w.be32(resp.epoch);
-  w.u8(resp.flags);
-  w.be16(resp.stale_epochs);
-  w.u8(resp.checksum_matches);
-  w.u8(resp.distinct_values);
-  w.be16(static_cast<std::uint16_t>(resp.value.size()));
-  w.bytes(resp.value);
-  return out;
-}
-
-std::optional<QueryResponse> parse_query_response(
-    std::span<const std::byte> payload) {
-  BufReader r(payload);
-  if (r.be16() != kMagicResponse) return std::nullopt;
-  if (r.u8() != kQueryProtocolVersion) return std::nullopt;
-  QueryResponse resp;
-  resp.outcome = r.u8() != 0 ? QueryOutcome::kFound : QueryOutcome::kEmpty;
-  resp.request_id = r.be64();
-  resp.epoch = r.be32();
-  resp.flags = r.u8();
-  resp.stale_epochs = r.be16();
-  resp.checksum_matches = r.u8();
-  resp.distinct_values = r.u8();
-  const std::uint16_t value_len = r.be16();
-  const auto value = r.view(value_len);
-  if (!r.ok() || value.size() != value_len) return std::nullopt;
-  if (resp.outcome == QueryOutcome::kFound && value_len == 0) {
-    return std::nullopt;
-  }
-  resp.value.assign(value.begin(), value.end());
-  return resp;
+  const auto read = parse_read(payload);
+  if (!read || read->family != Family::kQuery) return std::nullopt;
+  return QueryRequest{read->request_id, read->epoch,
+                      static_cast<ReturnPolicy>(read->op),
+                      {read->key.begin(), read->key.end()}};
 }
 
 std::vector<std::byte> encode_primitive_request(const PrimitiveRequest& req) {
-  std::vector<std::byte> out;
-  out.reserve(26 + req.key.size());
-  BufWriter w(out);
-  w.be16(kMagicPrimitiveRequest);
-  w.u8(kPrimitiveProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(req.op));
-  w.be64(req.request_id);
-  w.be32(req.epoch);
-  w.be64(req.max_entries);
-  w.be16(static_cast<std::uint16_t>(req.key.size()));
-  w.bytes(req.key);
-  return out;
+  return encode_read({.family = Family::kPrimitive,
+                      .op = static_cast<std::uint8_t>(req.op),
+                      .request_id = req.request_id,
+                      .epoch = req.epoch,
+                      .max_entries = req.max_entries,
+                      .key = req.key});
 }
 
 std::optional<PrimitiveRequest> parse_primitive_request(
     std::span<const std::byte> payload) {
-  BufReader r(payload);
-  if (r.be16() != kMagicPrimitiveRequest) return std::nullopt;
-  if (r.u8() != kPrimitiveProtocolVersion) return std::nullopt;
-  const std::uint8_t op = r.u8();
-  if (!valid_primitive_op(op)) return std::nullopt;
-  PrimitiveRequest req;
-  req.op = static_cast<PrimitiveOp>(op);
-  req.request_id = r.be64();
-  req.epoch = r.be32();
-  req.max_entries = r.be64();
-  const std::uint16_t key_len = r.be16();
-  const auto key = r.view(key_len);
-  if (!r.ok() || key.size() != key_len) return std::nullopt;
-  // Drain addresses the whole ring (no key); the keyed ops need one.
-  if (req.op == PrimitiveOp::kDrainRing ? key_len != 0 : key_len == 0) {
-    return std::nullopt;
-  }
-  req.key.assign(key.begin(), key.end());
-  return req;
-}
-
-std::vector<std::byte> encode_primitive_response(const PrimitiveResponse& resp) {
-  std::vector<std::byte> out;
-  BufWriter w(out);
-  w.be16(kMagicPrimitiveResponse);
-  w.u8(kPrimitiveProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(resp.op));
-  w.be64(resp.request_id);
-  w.be32(resp.epoch);
-  w.u8(resp.flags);
-  w.be16(resp.stale_epochs);
-  switch (resp.op) {
-    case PrimitiveOp::kDrainRing: {
-      w.be64(resp.missed);
-      w.be64(resp.next_seq);
-      w.be16(resp.entry_value_bytes);
-      w.be16(static_cast<std::uint16_t>(
-          std::min<std::size_t>(resp.entries.size(), 0xFFFF)));
-      std::size_t emitted = 0;
-      for (const RingEntryWire& entry : resp.entries) {
-        if (emitted++ == 0xFFFF) break;
-        w.be64(entry.seq);
-        w.bytes(entry.value);
-      }
-      break;
-    }
-    case PrimitiveOp::kReadCounter:
-      w.be64(resp.cell_index);
-      w.be64(resp.counter_value);
-      break;
-    case PrimitiveOp::kReadPostcardGroup: {
-      w.be64(resp.group_index);
-      w.u8(resp.max_hops);
-      w.be32(resp.valid_mask);
-      w.be16(resp.hop_value_bytes);
-      for (const auto& hop : resp.hops) w.bytes(hop);
-      break;
-    }
-  }
-  return out;
-}
-
-std::optional<PrimitiveResponse> parse_primitive_response(
-    std::span<const std::byte> payload) {
-  BufReader r(payload);
-  if (r.be16() != kMagicPrimitiveResponse) return std::nullopt;
-  if (r.u8() != kPrimitiveProtocolVersion) return std::nullopt;
-  const std::uint8_t op = r.u8();
-  if (!valid_primitive_op(op)) return std::nullopt;
-  PrimitiveResponse resp;
-  resp.op = static_cast<PrimitiveOp>(op);
-  resp.request_id = r.be64();
-  resp.epoch = r.be32();
-  resp.flags = r.u8();
-  resp.stale_epochs = r.be16();
-  if (!r.ok()) return std::nullopt;
-  switch (resp.op) {
-    case PrimitiveOp::kDrainRing: {
-      resp.missed = r.be64();
-      resp.next_seq = r.be64();
-      resp.entry_value_bytes = r.be16();
-      const std::uint16_t count = r.be16();
-      if (!r.ok()) return std::nullopt;
-      resp.entries.reserve(count);
-      for (std::uint16_t i = 0; i < count; ++i) {
-        RingEntryWire entry;
-        entry.seq = r.be64();
-        const auto value = r.view(resp.entry_value_bytes);
-        if (!r.ok() || value.size() != resp.entry_value_bytes) {
-          return std::nullopt;
-        }
-        entry.value.assign(value.begin(), value.end());
-        resp.entries.push_back(std::move(entry));
-      }
-      break;
-    }
-    case PrimitiveOp::kReadCounter:
-      resp.cell_index = r.be64();
-      resp.counter_value = r.be64();
-      if (!r.ok()) return std::nullopt;
-      break;
-    case PrimitiveOp::kReadPostcardGroup: {
-      resp.group_index = r.be64();
-      resp.max_hops = r.u8();
-      resp.valid_mask = r.be32();
-      resp.hop_value_bytes = r.be16();
-      if (!r.ok() || resp.max_hops > 32) return std::nullopt;
-      if (resp.max_hops < 32 && (resp.valid_mask >> resp.max_hops) != 0) {
-        return std::nullopt;
-      }
-      resp.hops.reserve(resp.max_hops);
-      for (std::uint8_t hop = 0; hop < resp.max_hops; ++hop) {
-        const auto value = r.view(resp.hop_value_bytes);
-        if (!r.ok() || value.size() != resp.hop_value_bytes) {
-          return std::nullopt;
-        }
-        resp.hops.emplace_back(value.begin(), value.end());
-      }
-      break;
-    }
-  }
-  // Trailing garbage after a structurally complete body is a framing error.
-  if (r.remaining() != 0) return std::nullopt;
-  return resp;
-}
-
-bool is_primitive_request(std::span<const std::byte> payload) {
-  return peek_magic(payload) == kMagicPrimitiveRequest;
-}
-
-bool is_primitive_response(std::span<const std::byte> payload) {
-  return peek_magic(payload) == kMagicPrimitiveResponse;
+  const auto read = parse_read(payload);
+  if (!read || read->family != Family::kPrimitive) return std::nullopt;
+  return PrimitiveRequest{static_cast<PrimitiveOp>(read->op), read->request_id,
+                          read->epoch, read->max_entries,
+                          {read->key.begin(), read->key.end()}};
 }
 
 std::vector<std::byte> encode_sketch_request(const SketchRequest& req) {
-  std::vector<std::byte> out;
-  out.reserve(20 + req.key.size());
-  BufWriter w(out);
-  w.be16(kMagicSketchRequest);
-  w.u8(kSketchProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(req.op));
-  w.be64(req.request_id);
-  w.be32(req.epoch);
-  w.be16(req.k);
-  w.be16(static_cast<std::uint16_t>(req.key.size()));
-  w.bytes(req.key);
-  return out;
+  return encode_read({.family = Family::kSketch,
+                      .op = static_cast<std::uint8_t>(req.op),
+                      .request_id = req.request_id,
+                      .epoch = req.epoch,
+                      .k = req.k,
+                      .key = req.key});
 }
 
 std::optional<SketchRequest> parse_sketch_request(
     std::span<const std::byte> payload) {
-  BufReader r(payload);
-  if (r.be16() != kMagicSketchRequest) return std::nullopt;
-  if (r.u8() != kSketchProtocolVersion) return std::nullopt;
-  const std::uint8_t op = r.u8();
-  if (!valid_sketch_op(op)) return std::nullopt;
-  SketchRequest req;
-  req.op = static_cast<SketchOp>(op);
-  req.request_id = r.be64();
-  req.epoch = r.be32();
-  req.k = r.be16();
-  const std::uint16_t key_len = r.be16();
-  const auto key = r.view(key_len);
-  if (!r.ok() || key.size() != key_len) return std::nullopt;
-  // kEstimate addresses one key (k unused); kTopK addresses the tracker
-  // (no key) and needs a positive k.
-  if (req.op == SketchOp::kEstimate ? key_len == 0
-                                    : (key_len != 0 || req.k == 0)) {
-    return std::nullopt;
-  }
-  if (r.remaining() != 0) return std::nullopt;
-  req.key.assign(key.begin(), key.end());
-  return req;
+  const auto read = parse_read(payload);
+  if (!read || read->family != Family::kSketch) return std::nullopt;
+  return SketchRequest{static_cast<SketchOp>(read->op), read->request_id,
+                       read->epoch, read->k,
+                       {read->key.begin(), read->key.end()}};
+}
+
+std::vector<std::byte> encode_query_response(const QueryResponse& resp) {
+  return encode_as(resp);
+}
+std::optional<QueryResponse> parse_query_response(
+    std::span<const std::byte> payload) {
+  return parse_as<QueryResponse>(payload);
+}
+
+std::vector<std::byte> encode_primitive_response(const PrimitiveResponse& resp) {
+  return encode_as(resp);
+}
+std::optional<PrimitiveResponse> parse_primitive_response(
+    std::span<const std::byte> payload) {
+  return parse_as<PrimitiveResponse>(payload);
 }
 
 std::vector<std::byte> encode_sketch_response(const SketchResponse& resp) {
-  std::vector<std::byte> out;
-  BufWriter w(out);
-  w.be16(kMagicSketchResponse);
-  w.u8(kSketchProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(resp.op));
-  w.be64(resp.request_id);
-  w.be32(resp.epoch);
-  w.u8(resp.flags);
-  w.be16(resp.stale_epochs);
-  switch (resp.op) {
-    case SketchOp::kEstimate:
-      w.be64(resp.estimate);
-      break;
-    case SketchOp::kTopK: {
-      w.be16(static_cast<std::uint16_t>(
-          std::min<std::size_t>(resp.hitters.size(), 0xFFFF)));
-      std::size_t emitted = 0;
-      for (const HeavyHitterWire& hh : resp.hitters) {
-        if (emitted++ == 0xFFFF) break;
-        w.be64(hh.count);
-        w.be16(static_cast<std::uint16_t>(hh.key.size()));
-        w.bytes(hh.key);
-      }
-      break;
-    }
-  }
-  return out;
+  return encode_as(resp);
 }
-
 std::optional<SketchResponse> parse_sketch_response(
     std::span<const std::byte> payload) {
-  BufReader r(payload);
-  if (r.be16() != kMagicSketchResponse) return std::nullopt;
-  if (r.u8() != kSketchProtocolVersion) return std::nullopt;
-  const std::uint8_t op = r.u8();
-  if (!valid_sketch_op(op)) return std::nullopt;
-  SketchResponse resp;
-  resp.op = static_cast<SketchOp>(op);
-  resp.request_id = r.be64();
-  resp.epoch = r.be32();
-  resp.flags = r.u8();
-  resp.stale_epochs = r.be16();
-  if (!r.ok()) return std::nullopt;
-  switch (resp.op) {
-    case SketchOp::kEstimate:
-      resp.estimate = r.be64();
-      if (!r.ok()) return std::nullopt;
-      break;
-    case SketchOp::kTopK: {
-      const std::uint16_t count = r.be16();
-      if (!r.ok()) return std::nullopt;
-      resp.hitters.reserve(count);
-      for (std::uint16_t i = 0; i < count; ++i) {
-        HeavyHitterWire hh;
-        hh.count = r.be64();
-        const std::uint16_t key_len = r.be16();
-        const auto key = r.view(key_len);
-        if (!r.ok() || key.size() != key_len || key_len == 0) {
-          return std::nullopt;
-        }
-        hh.key.assign(key.begin(), key.end());
-        resp.hitters.push_back(std::move(hh));
-      }
-      break;
-    }
-  }
-  // Trailing garbage after a structurally complete body is a framing error.
-  if (r.remaining() != 0) return std::nullopt;
-  return resp;
-}
-
-bool is_sketch_request(std::span<const std::byte> payload) {
-  return peek_magic(payload) == kMagicSketchRequest;
-}
-
-bool is_sketch_response(std::span<const std::byte> payload) {
-  return peek_magic(payload) == kMagicSketchResponse;
+  return parse_as<SketchResponse>(payload);
 }
 
 std::vector<std::byte> encode_subscribe_request(const SubscribeRequest& req) {
-  std::vector<std::byte> out;
-  out.reserve(41 + req.key.size());
-  BufWriter w(out);
-  w.be16(kMagicSubscribeRequest);
-  w.u8(kGatewayProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(req.op));
-  w.be64(req.request_id);
-  w.be32(req.epoch);
-  w.u8(static_cast<std::uint8_t>(req.kind));
-  w.be32(req.collector);
-  w.be64(req.threshold);
-  w.be16(req.k);
-  w.be64(req.subscription_id);
-  w.be16(static_cast<std::uint16_t>(req.key.size()));
-  w.bytes(req.key);
-  return out;
+  return encode_as(req);
 }
-
 std::optional<SubscribeRequest> parse_subscribe_request(
     std::span<const std::byte> payload) {
-  BufReader r(payload);
-  if (r.be16() != kMagicSubscribeRequest) return std::nullopt;
-  if (r.u8() != kGatewayProtocolVersion) return std::nullopt;
-  SubscribeRequest req;
-  const std::uint8_t op = r.u8();
-  if (op != static_cast<std::uint8_t>(SubscribeOp::kSubscribe) &&
-      op != static_cast<std::uint8_t>(SubscribeOp::kUnsubscribe)) {
-    return std::nullopt;
-  }
-  req.op = static_cast<SubscribeOp>(op);
-  req.request_id = r.be64();
-  req.epoch = r.be32();
-  const std::uint8_t kind = r.u8();
-  if (!valid_standing_kind(kind)) return std::nullopt;
-  req.kind = static_cast<StandingKind>(kind);
-  req.collector = r.be32();
-  req.threshold = r.be64();
-  req.k = r.be16();
-  req.subscription_id = r.be64();
-  const std::uint16_t key_len = r.be16();
-  const auto key = r.view(key_len);
-  if (!r.ok() || key.size() != key_len) return std::nullopt;
-  req.key.assign(key.begin(), key.end());
-  return req;
+  return parse_as<SubscribeRequest>(payload);
 }
 
 std::vector<std::byte> encode_subscribe_ack(const SubscribeAck& ack) {
-  std::vector<std::byte> out;
-  out.reserve(27);
-  BufWriter w(out);
-  w.be16(kMagicSubscribeAck);
-  w.u8(kGatewayProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(ack.op));
-  w.be64(ack.request_id);
-  w.be32(ack.epoch);
-  w.u8(ack.flags);
-  w.be16(ack.stale_epochs);
-  w.be64(ack.subscription_id);
-  return out;
+  return encode_as(ack);
 }
-
 std::optional<SubscribeAck> parse_subscribe_ack(
     std::span<const std::byte> payload) {
-  BufReader r(payload);
-  if (r.be16() != kMagicSubscribeAck) return std::nullopt;
-  if (r.u8() != kGatewayProtocolVersion) return std::nullopt;
-  SubscribeAck ack;
-  const std::uint8_t op = r.u8();
-  if (op != static_cast<std::uint8_t>(SubscribeOp::kSubscribe) &&
-      op != static_cast<std::uint8_t>(SubscribeOp::kUnsubscribe)) {
-    return std::nullopt;
-  }
-  ack.op = static_cast<SubscribeOp>(op);
-  ack.request_id = r.be64();
-  ack.epoch = r.be32();
-  ack.flags = r.u8();
-  ack.stale_epochs = r.be16();
-  ack.subscription_id = r.be64();
-  if (!r.ok()) return std::nullopt;
-  return ack;
+  return parse_as<SubscribeAck>(payload);
 }
 
 std::vector<std::byte> encode_notification(const StandingNotification& note) {
-  std::vector<std::byte> out;
-  out.reserve(41 + note.key.size() + note.aux.size());
-  BufWriter w(out);
-  w.be16(kMagicNotification);
-  w.u8(kGatewayProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(note.kind));
-  w.be64(note.subscription_id);
-  w.be64(note.seq);
-  w.be64(note.gateway_epoch);
-  w.u8(note.flags);
-  w.be64(note.value);
-  w.be16(static_cast<std::uint16_t>(note.key.size()));
-  w.bytes(note.key);
-  w.be16(static_cast<std::uint16_t>(note.aux.size()));
-  w.bytes(note.aux);
-  return out;
+  return encode_as(note);
 }
-
 std::optional<StandingNotification> parse_notification(
     std::span<const std::byte> payload) {
-  BufReader r(payload);
-  if (r.be16() != kMagicNotification) return std::nullopt;
-  if (r.u8() != kGatewayProtocolVersion) return std::nullopt;
-  StandingNotification note;
-  const std::uint8_t kind = r.u8();
-  if (!valid_standing_kind(kind)) return std::nullopt;
-  note.kind = static_cast<StandingKind>(kind);
-  note.subscription_id = r.be64();
-  note.seq = r.be64();
-  note.gateway_epoch = r.be64();
-  note.flags = r.u8();
-  note.value = r.be64();
-  const std::uint16_t key_len = r.be16();
-  const auto key = r.view(key_len);
-  if (!r.ok() || key.size() != key_len) return std::nullopt;
-  note.key.assign(key.begin(), key.end());
-  const std::uint16_t aux_len = r.be16();
-  const auto aux = r.view(aux_len);
-  if (!r.ok() || aux.size() != aux_len) return std::nullopt;
-  note.aux.assign(aux.begin(), aux.end());
-  return note;
+  return parse_as<StandingNotification>(payload);
 }
 
-bool is_subscribe_request(std::span<const std::byte> payload) {
-  return peek_magic(payload) == kMagicSubscribeRequest;
+std::optional<Answer> parse_answer(std::span<const std::byte> payload) {
+  const std::size_t family = response_codec(payload);
+  if (family == 0) return std::nullopt;
+  return kAnswerParsers[family - 1](payload);
 }
 
-bool is_subscribe_ack(std::span<const std::byte> payload) {
-  return peek_magic(payload) == kMagicSubscribeAck;
-}
-
-bool is_notification(std::span<const std::byte> payload) {
-  return peek_magic(payload) == kMagicNotification;
+bool validate_response(std::span<const std::byte> payload) {
+  const std::size_t family = response_codec(payload);
+  return family != 0 && kResponseValidators[family - 1](payload);
 }
 
 QueryResponse make_response(std::uint64_t request_id,

@@ -1,12 +1,20 @@
 #include "core/query_service.hpp"
 
 #include <algorithm>
-#include <cstring>
 
-#include "common/bytes.hpp"
 #include "common/cycles.hpp"
 
 namespace dart::core {
+
+void ResponseStore::put(std::uint64_t request_id, Answer answer) {
+  std::visit([request_id](auto& a) { a.request_id = request_id; }, answer);
+  answers_.insert_or_assign(request_id, std::move(answer));
+}
+
+bool degraded(const Answer& answer) noexcept {
+  return std::visit(
+      [](const auto& a) { return (a.flags & kResponseDegraded) != 0; }, answer);
+}
 
 namespace {
 
@@ -39,46 +47,33 @@ void QueryServiceNode::receive(net::Packet packet, std::uint64_t /*now_ns*/) {
     ++dropped_offline_;
     return;
   }
-  // Shared port: the magic selects KV vs DTA-primitive family before either
-  // parser commits.
-  if (is_primitive_request(frame->payload)) {
-    const auto primitive = parse_primitive_request(frame->payload);
-    if (!primitive) {
-      ++malformed_;
-      return;
-    }
-    auto payload = serve_primitive(*primitive);
-    const auto dest = resolver_(frame->ip.src);
-    if (!dest) return;
-    auto reply = net::build_udp_frame(reply_spec(ip_, frame->ip.src), payload);
-    sim_->send(self_, *dest, net::Packet(std::move(reply)));
-    return;
-  }
-  if (is_sketch_request(frame->payload)) {
-    const auto sketch = parse_sketch_request(frame->payload);
-    if (!sketch) {
-      ++malformed_;
-      return;
-    }
-    auto payload = serve_sketch(*sketch);
-    const auto dest = resolver_(frame->ip.src);
-    if (!dest) return;
-    auto reply = net::build_udp_frame(reply_spec(ip_, frame->ip.src), payload);
-    sim_->send(self_, *dest, net::Packet(std::move(reply)));
-    return;
-  }
-  const auto request = parse_query_request(frame->payload);
+  // Shared port: the read families differ only in what serving them means.
+  const auto request = parse_read(frame->payload);
   if (!request) {
     ++malformed_;
     return;
   }
+  std::vector<std::byte> payload;
+  switch (request->family) {
+    case Family::kQuery: payload = serve_query(*request); break;
+    case Family::kPrimitive: payload = serve_primitive(*request); break;
+    case Family::kSketch: payload = serve_sketch(*request); break;
+    case Family::kGateway: return;  // parse_read never yields one
+  }
+  const auto dest = resolver_(frame->ip.src);
+  if (!dest) return;  // requester unreachable — drop, like real UDP
+  auto reply = net::build_udp_frame(reply_spec(ip_, frame->ip.src), payload);
+  sim_->send(self_, *dest, net::Packet(std::move(reply)));
+}
 
+std::vector<std::byte> QueryServiceNode::serve_query(const ReadRequest& request) {
   // The collector CPU's actual work: N slot reads + checksum filter + vote.
   // Sampled latency: time one in every `resolve_sample_every_` resolves.
   const bool sample =
       resolve_hist_ != nullptr && (served_ % resolve_sample_every_) == 0;
   const std::uint64_t t0 = sample ? rdtsc() : 0;
-  const auto result = collector_->query(request->key, request->policy);
+  const auto result =
+      collector_->query(request.key, static_cast<ReturnPolicy>(request.op));
   if (sample) {
     const double ns =
         static_cast<double>(rdtsc() - t0) / tsc_ghz();
@@ -87,21 +82,15 @@ void QueryServiceNode::receive(net::Packet packet, std::uint64_t /*now_ns*/) {
   }
   ++served_;
 
-  auto response = make_response(request->request_id, result);
-  // v2: echo the request's epoch so the client can compute staleness even
-  // for out-of-order responses.
-  response.epoch = request->epoch;
+  auto response = make_response(request.request_id, result);
+  // Echo the request's epoch so the client can compute staleness even for
+  // out-of-order responses.
+  response.epoch = request.epoch;
   // Degraded marking: answering for a dead peer's keys, or our own store is
   // known lossy. An explicit flag beats silently returning garbage.
-  apply_degradation(request->key, response.flags, response.stale_epochs);
+  apply_degradation(request.key, response.flags, response.stale_epochs);
   if (response.degraded()) ++degraded_;
-
-  const auto response_payload = encode_query_response(response);
-  const auto dest = resolver_(frame->ip.src);
-  if (!dest) return;  // requester unreachable — drop, like real UDP
-  auto reply =
-      net::build_udp_frame(reply_spec(ip_, frame->ip.src), response_payload);
-  sim_->send(self_, *dest, net::Packet(std::move(reply)));
+  return encode_query_response(response);
 }
 
 void QueryServiceNode::apply_degradation(std::span<const std::byte> key,
@@ -132,9 +121,9 @@ void QueryServiceNode::apply_degradation(std::span<const std::byte> key,
 }
 
 std::vector<std::byte> QueryServiceNode::serve_primitive(
-    const PrimitiveRequest& request) {
+    const ReadRequest& request) {
   PrimitiveResponse response;
-  response.op = request.op;
+  response.op = static_cast<PrimitiveOp>(request.op);
   response.request_id = request.request_id;
   response.epoch = request.epoch;
 
@@ -153,7 +142,7 @@ std::vector<std::byte> QueryServiceNode::serve_primitive(
   // the KV path's owner-takeover marking.
   apply_degradation(request.key, response.flags, response.stale_epochs);
 
-  switch (request.op) {
+  switch (response.op) {
     case PrimitiveOp::kDrainRing: {
       AppendRing& ring = collector_->ring();
       auto drained = ring.drain(request.max_entries == 0
@@ -197,9 +186,9 @@ std::vector<std::byte> QueryServiceNode::serve_primitive(
 }
 
 std::vector<std::byte> QueryServiceNode::serve_sketch(
-    const SketchRequest& request) {
+    const ReadRequest& request) {
   SketchResponse response;
-  response.op = request.op;
+  response.op = static_cast<SketchOp>(request.op);
   response.request_id = request.request_id;
   response.epoch = request.epoch;
 
@@ -219,7 +208,7 @@ std::vector<std::byte> QueryServiceNode::serve_sketch(
   apply_degradation(request.key, response.flags, response.stale_epochs);
 
   SketchBackend& sketch = collector_->sketch();
-  switch (request.op) {
+  switch (response.op) {
     case SketchOp::kEstimate:
       response.estimate = sketch.cells().estimate(request.key);
       // Queried keys are the tracker's candidate stream: the operator's own
@@ -305,16 +294,29 @@ bool OperatorClient::send_to_ip(net::Ipv4Addr ip,
   return true;
 }
 
-bool OperatorClient::send_to_collector(std::uint32_t collector_id,
-                                       std::vector<std::byte> payload) {
-  if (collector_id >= service_ips_.size()) return false;
-  return send_to_ip(service_ips_[collector_id], payload);
+std::uint64_t OperatorClient::send_read(ReadRequest request) {
+  request.request_id = next_id_++;
+  request.epoch = epoch_;
+  const std::uint32_t collector = read_op(request.family, request.op)->keyed
+                                      ? route_of(request.key)
+                                      : request.collector;
+  if (collector >= service_ips_.size()) return 0;
+  return send(service_ips_[collector], request.request_id, encode_read(request));
 }
 
-void OperatorClient::track(std::uint64_t wire_id, net::Ipv4Addr destination,
-                           std::vector<std::byte> payload) {
+std::uint64_t OperatorClient::send_subscribe(net::Ipv4Addr gateway_ip,
+                                             SubscribeRequest request) {
+  request.request_id = next_id_++;
+  request.epoch = epoch_;
+  return send(gateway_ip, request.request_id, encode_subscribe_request(request));
+}
+
+std::uint64_t OperatorClient::send(net::Ipv4Addr destination,
+                                   std::uint64_t wire_id,
+                                   std::vector<std::byte> payload) {
   // Outstanding only if actually sent: an unreachable service can never
   // answer, so its id must not inflate pending().
+  if (!send_to_ip(destination, payload)) return 0;
   PendingRequest rec;
   rec.destination = destination;
   rec.payload = std::move(payload);
@@ -325,6 +327,7 @@ void OperatorClient::track(std::uint64_t wire_id, net::Ipv4Addr destination,
   pending_req_.emplace(wire_id, std::move(rec));
   ++sent_;
   arm_deadline(wire_id, wire_id);
+  return wire_id;
 }
 
 std::optional<std::uint64_t> OperatorClient::retire(std::uint64_t wire_id) {
@@ -367,164 +370,15 @@ void OperatorClient::on_deadline(std::uint64_t logical_id,
   ++retries_;
   // Resend under a FRESH wire id — a service that already served the lost
   // original must treat the retry as a new request, and the client must not
-  // confuse the two answers. Every request family carries its id big-endian
-  // at bytes [4, 12), so the stored encoding is patched in place.
+  // confuse the two answers. The id sits in the shared request header, so
+  // the stored encoding is patched in place.
   const std::uint64_t fresh = next_id_++;
-  const std::uint64_t be = host_to_net64(fresh);
-  std::memcpy(rec.payload.data() + 4, &be, sizeof(be));
+  set_frame_request_id(rec.payload, fresh);
   rec.newest_wire_id = fresh;
   rec.wire_ids.push_back(fresh);
   wire_to_logical_[fresh] = logical_id;
   (void)send_to_ip(rec.destination, rec.payload);  // best effort; re-armed
   arm_deadline(logical_id, fresh);
-}
-
-std::uint64_t OperatorClient::query(std::span<const std::byte> key,
-                                    ReturnPolicy policy) {
-  QueryRequest request;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.policy = policy;
-  request.key.assign(key.begin(), key.end());
-
-  const std::uint32_t collector = route_of(key);
-  if (collector < service_ips_.size()) {
-    auto payload = encode_query_request(request);
-    if (send_to_ip(service_ips_[collector], payload)) {
-      track(request.request_id, service_ips_[collector], std::move(payload));
-    }
-  }
-  return request.request_id;
-}
-
-std::uint64_t OperatorClient::drain_ring(std::uint32_t collector_id,
-                                         std::uint64_t max_entries) {
-  PrimitiveRequest request;
-  request.op = PrimitiveOp::kDrainRing;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.max_entries = max_entries;
-  if (collector_id >= service_ips_.size()) return 0;
-  auto payload = encode_primitive_request(request);
-  if (!send_to_ip(service_ips_[collector_id], payload)) return 0;
-  track(request.request_id, service_ips_[collector_id], std::move(payload));
-  return request.request_id;
-}
-
-std::uint64_t OperatorClient::read_counter(std::span<const std::byte> key) {
-  PrimitiveRequest request;
-  request.op = PrimitiveOp::kReadCounter;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.key.assign(key.begin(), key.end());
-  const std::uint32_t collector = route_of(key);
-  if (collector >= service_ips_.size()) return 0;
-  auto payload = encode_primitive_request(request);
-  if (!send_to_ip(service_ips_[collector], payload)) return 0;
-  track(request.request_id, service_ips_[collector], std::move(payload));
-  return request.request_id;
-}
-
-std::uint64_t OperatorClient::read_postcard_group(
-    std::span<const std::byte> flow_key) {
-  PrimitiveRequest request;
-  request.op = PrimitiveOp::kReadPostcardGroup;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.key.assign(flow_key.begin(), flow_key.end());
-  const std::uint32_t collector = route_of(flow_key);
-  if (collector >= service_ips_.size()) return 0;
-  auto payload = encode_primitive_request(request);
-  if (!send_to_ip(service_ips_[collector], payload)) return 0;
-  track(request.request_id, service_ips_[collector], std::move(payload));
-  return request.request_id;
-}
-
-std::uint64_t OperatorClient::sketch_estimate(std::span<const std::byte> key) {
-  SketchRequest request;
-  request.op = SketchOp::kEstimate;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.key.assign(key.begin(), key.end());
-  const std::uint32_t collector = route_of(key);
-  if (collector >= service_ips_.size()) return 0;
-  auto payload = encode_sketch_request(request);
-  if (!send_to_ip(service_ips_[collector], payload)) return 0;
-  track(request.request_id, service_ips_[collector], std::move(payload));
-  return request.request_id;
-}
-
-std::uint64_t OperatorClient::sketch_topk(std::uint32_t collector_id,
-                                          std::uint16_t k) {
-  SketchRequest request;
-  request.op = SketchOp::kTopK;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.k = k;
-  if (collector_id >= service_ips_.size()) return 0;
-  auto payload = encode_sketch_request(request);
-  if (!send_to_ip(service_ips_[collector_id], payload)) return 0;
-  track(request.request_id, service_ips_[collector_id], std::move(payload));
-  return request.request_id;
-}
-
-std::uint64_t OperatorClient::subscribe_key_change(
-    net::Ipv4Addr gateway_ip, std::span<const std::byte> key) {
-  SubscribeRequest request;
-  request.op = SubscribeOp::kSubscribe;
-  request.kind = StandingKind::kKeyChange;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.key.assign(key.begin(), key.end());
-  auto payload = encode_subscribe_request(request);
-  if (!send_to_ip(gateway_ip, payload)) return 0;
-  track(request.request_id, gateway_ip, std::move(payload));
-  return request.request_id;
-}
-
-std::uint64_t OperatorClient::subscribe_counter_threshold(
-    net::Ipv4Addr gateway_ip, std::span<const std::byte> key,
-    std::uint64_t threshold) {
-  SubscribeRequest request;
-  request.op = SubscribeOp::kSubscribe;
-  request.kind = StandingKind::kCounterThreshold;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.threshold = threshold;
-  request.key.assign(key.begin(), key.end());
-  auto payload = encode_subscribe_request(request);
-  if (!send_to_ip(gateway_ip, payload)) return 0;
-  track(request.request_id, gateway_ip, std::move(payload));
-  return request.request_id;
-}
-
-std::uint64_t OperatorClient::subscribe_topk_delta(net::Ipv4Addr gateway_ip,
-                                                   std::uint32_t collector_id,
-                                                   std::uint16_t k) {
-  SubscribeRequest request;
-  request.op = SubscribeOp::kSubscribe;
-  request.kind = StandingKind::kTopKDelta;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.collector = collector_id;
-  request.k = k;
-  auto payload = encode_subscribe_request(request);
-  if (!send_to_ip(gateway_ip, payload)) return 0;
-  track(request.request_id, gateway_ip, std::move(payload));
-  return request.request_id;
-}
-
-std::uint64_t OperatorClient::unsubscribe(net::Ipv4Addr gateway_ip,
-                                          std::uint64_t subscription_id) {
-  SubscribeRequest request;
-  request.op = SubscribeOp::kUnsubscribe;
-  request.request_id = next_id_++;
-  request.epoch = epoch_;
-  request.subscription_id = subscription_id;
-  auto payload = encode_subscribe_request(request);
-  if (!send_to_ip(gateway_ip, payload)) return 0;
-  track(request.request_id, gateway_ip, std::move(payload));
-  return request.request_id;
 }
 
 void OperatorClient::receive(net::Packet packet, std::uint64_t /*now_ns*/) {
@@ -536,110 +390,27 @@ void OperatorClient::receive(net::Packet packet, std::uint64_t /*now_ns*/) {
     ++stray_;
     return;
   }
-  if (is_primitive_response(frame->payload)) {
-    auto response = parse_primitive_response(frame->payload);
-    if (!response) return;
-    const auto logical = retire(response->request_id);
-    if (!logical) {
-      ++unexpected_;
-      return;
-    }
-    if (response->degraded()) ++degraded_;
-    // Answers are filed under the LOGICAL id — the one the caller holds —
-    // even when a retry's fresh wire id carried them home.
-    response->request_id = *logical;
-    primitive_responses_[*logical] = *std::move(response);
-    return;
-  }
-  if (is_sketch_response(frame->payload)) {
-    auto response = parse_sketch_response(frame->payload);
-    if (!response) return;
-    const auto logical = retire(response->request_id);
-    if (!logical) {
-      ++unexpected_;
-      return;
-    }
-    if (response->degraded()) ++degraded_;
-    response->request_id = *logical;
-    sketch_responses_[*logical] = *std::move(response);
-    return;
-  }
-  if (is_subscribe_ack(frame->payload)) {
-    auto ack = parse_subscribe_ack(frame->payload);
-    if (!ack) return;
-    const auto logical = retire(ack->request_id);
-    if (!logical) {
-      ++unexpected_;
-      return;
-    }
-    ack->request_id = *logical;
-    subscribe_acks_[*logical] = *std::move(ack);
-    return;
-  }
-  if (is_notification(frame->payload)) {
+  const auto kind = classify(frame->payload);
+  if (kind && kind->direction == Direction::kNotification) {
     // Unsolicited by design — this is the push half of a standing query, so
     // there is no outstanding id to match. Address checks above still apply.
-    auto note = parse_notification(frame->payload);
-    if (!note) return;
-    ++notifications_received_;
-    notifications_.push_back(*std::move(note));
+    if (auto note = parse_notification(frame->payload)) store_.push(*std::move(note));
     return;
   }
-  auto response = parse_query_response(frame->payload);
-  if (!response) return;
+  auto answer = parse_answer(frame->payload);
+  if (!answer) return;
   // First matching response retires the request; duplicates and replays (UDP
-  // can deliver both) are counted but change neither pending() nor
-  // responses_.
-  const auto logical = retire(response->request_id);
+  // can deliver both) are counted but change neither pending() nor the
+  // stored answers.
+  const auto logical = retire(frame_request_id(frame->payload));
   if (!logical) {
     ++unexpected_;
     return;
   }
-  if (response->degraded()) ++degraded_;
-  response->request_id = *logical;
-  responses_[*logical] = *std::move(response);
-}
-
-std::optional<PrimitiveResponse> OperatorClient::take_primitive_response(
-    std::uint64_t request_id) {
-  const auto it = primitive_responses_.find(request_id);
-  if (it == primitive_responses_.end()) return std::nullopt;
-  PrimitiveResponse resp = std::move(it->second);
-  primitive_responses_.erase(it);
-  return resp;
-}
-
-std::optional<SketchResponse> OperatorClient::take_sketch_response(
-    std::uint64_t request_id) {
-  const auto it = sketch_responses_.find(request_id);
-  if (it == sketch_responses_.end()) return std::nullopt;
-  SketchResponse resp = std::move(it->second);
-  sketch_responses_.erase(it);
-  return resp;
-}
-
-std::optional<SubscribeAck> OperatorClient::take_subscribe_ack(
-    std::uint64_t request_id) {
-  const auto it = subscribe_acks_.find(request_id);
-  if (it == subscribe_acks_.end()) return std::nullopt;
-  SubscribeAck ack = std::move(it->second);
-  subscribe_acks_.erase(it);
-  return ack;
-}
-
-std::vector<StandingNotification> OperatorClient::take_notifications() {
-  std::vector<StandingNotification> drained;
-  drained.swap(notifications_);
-  return drained;
-}
-
-std::optional<QueryResponse> OperatorClient::take_response(
-    std::uint64_t request_id) {
-  const auto it = responses_.find(request_id);
-  if (it == responses_.end()) return std::nullopt;
-  QueryResponse resp = std::move(it->second);
-  responses_.erase(it);
-  return resp;
+  if (degraded(*answer)) ++degraded_;
+  // Answers are filed under the LOGICAL id — the one the caller holds —
+  // even when a retry's fresh wire id carried them home.
+  store_.put(*logical, *std::move(answer));
 }
 
 void OperatorClient::bind_metrics(obs::MetricRegistry& registry,
@@ -665,7 +436,7 @@ void OperatorClient::bind_metrics(obs::MetricRegistry& registry,
                       [this] { return retries_; },
                       "deadline-driven resends under fresh wire ids");
   registry.counter_fn(prefix + "_operator_notifications_total",
-                      [this] { return notifications_received_; },
+                      [this] { return store_.notifications_received(); },
                       "standing-query notifications pushed to this client");
   registry.gauge_fn(prefix + "_operator_pending",
                     [this] { return static_cast<double>(pending()); },

@@ -10,7 +10,8 @@
 // protocol-error alert.
 //
 // OperatorClient implements the four steps of Fig. 2's query flow: hash key
-// → collector id → directory lookup → request/response. It tracks the set
+// → collector id → directory lookup → request/response, for every read and
+// subscribe op of the four wire families. It tracks the set
 // of outstanding request ids: a response is accepted only if it is addressed
 // to this client AND matches an in-flight id, so duplicated or replayed
 // responses (UDP can deliver both) neither corrupt `pending()` nor
@@ -33,6 +34,8 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/collector.hpp"
@@ -47,6 +50,46 @@ namespace dart::core {
 // Resolves an IPv4 address to the simulator node that owns it (the fabric's
 // ARP/routing stand-in for the management network).
 using IpResolver = std::function<std::optional<net::NodeId>(net::Ipv4Addr)>;
+
+// Answers of any family filed under the request id the caller holds, plus
+// the standing-query notifications pushed so far (arrival order). The
+// OperatorClient and the gateway's in-process sessions both keep one.
+class ResponseStore {
+ public:
+  // Files `answer` under `request_id`, rewriting the id it carries.
+  void put(std::uint64_t request_id, Answer answer);
+
+  // The answer filed under `request_id` if it is a `Msg` (removes it).
+  template <class Msg>
+  [[nodiscard]] std::optional<Msg> take(std::uint64_t request_id) {
+    const auto it = answers_.find(request_id);
+    if (it == answers_.end() || !std::holds_alternative<Msg>(it->second)) {
+      return std::nullopt;
+    }
+    Msg answer = std::get<Msg>(std::move(it->second));
+    answers_.erase(it);
+    return answer;
+  }
+
+  void push(StandingNotification note) {
+    ++notifications_received_;
+    notifications_.push_back(std::move(note));
+  }
+  [[nodiscard]] std::vector<StandingNotification> take_notifications() {
+    return std::exchange(notifications_, {});
+  }
+  [[nodiscard]] std::uint64_t notifications_received() const noexcept {
+    return notifications_received_;
+  }
+
+ private:
+  std::unordered_map<std::uint64_t, Answer> answers_;
+  std::vector<StandingNotification> notifications_;
+  std::uint64_t notifications_received_ = 0;
+};
+
+// True iff the answer carries kResponseDegraded.
+[[nodiscard]] bool degraded(const Answer& answer) noexcept;
 
 class QueryServiceNode final : public net::Node {
  public:
@@ -173,22 +216,19 @@ class QueryServiceNode final : public net::Node {
                : static_cast<std::uint16_t>(sum);
   }
 
-  // Degraded/staleness marking shared by the KV path and the keyed primitive
-  // ops: flags/stale for a response about `key` (empty key ⇒ only local
-  // degradation applies, the drain-ring case).
+  // Degraded/staleness marking shared by every keyed op: flags/stale for a
+  // response about `key` (empty key ⇒ only local degradation applies, the
+  // collector-addressed case).
   void apply_degradation(std::span<const std::byte> key, std::uint8_t& flags,
                          std::uint16_t& stale) const;
 
-  // Serves one parsed primitive request; returns the encoded response.
-  [[nodiscard]] std::vector<std::byte> serve_primitive(
-      const PrimitiveRequest& request);
-
-  // Serves one parsed sketch request; returns the encoded response. Estimate
-  // answers also feed the collector's heavy-hitter tracker — tracker
-  // maintenance lives entirely on this (query) path so ingest stays
-  // zero-CPU.
-  [[nodiscard]] std::vector<std::byte> serve_sketch(
-      const SketchRequest& request);
+  // Serve one parsed request of their family; each returns the encoded
+  // response. Sketch estimates also feed the collector's heavy-hitter
+  // tracker — tracker maintenance lives entirely on this (query) path so
+  // ingest stays zero-CPU.
+  [[nodiscard]] std::vector<std::byte> serve_query(const ReadRequest& request);
+  [[nodiscard]] std::vector<std::byte> serve_primitive(const ReadRequest& request);
+  [[nodiscard]] std::vector<std::byte> serve_sketch(const ReadRequest& request);
 
   Collector* collector_;
   net::Ipv4Addr ip_;
@@ -224,53 +264,54 @@ class OperatorClient final : public net::Node {
 
   void receive(net::Packet packet, std::uint64_t now_ns) override;
 
-  // Sends a query; returns the request id to correlate with take_response().
+  // --- reads (query_protocol.hpp: query-v2, primitive-v1, sketch-v1) -----
+  //
+  // Each returns the request id to correlate with the matching take_*(), or
+  // 0 if the request could not be sent (unknown collector / unresolvable
+  // service IP). Keyed reads are hash-routed, honoring retargets; drain_ring
+  // and sketch_topk name their collector, since rings and heavy-hitter
+  // trackers are per-collector.
+
   std::uint64_t query(std::span<const std::byte> key,
-                      ReturnPolicy policy = ReturnPolicy::kPlurality);
-
-  // Response for a completed request, if it has arrived (removes it).
-  [[nodiscard]] std::optional<QueryResponse> take_response(std::uint64_t request_id);
-
-  // --- DTA primitive queries (query_protocol.hpp, primitive v1) ------------
-  //
-  // Same transport and outstanding-id discipline as query(); answers arrive
-  // via take_primitive_response(). Returns 0 if the request could not be
-  // sent (unknown collector / unresolvable service IP).
-
-  // Drains collector `collector_id`'s Append ring (rings are per-collector,
-  // so drain targets an explicit collector, not a hashed key).
-  // `max_entries` 0 = no cap.
+                      ReturnPolicy policy = ReturnPolicy::kPlurality) {
+    return send_read(build::query(key, policy));
+  }
+  // Drains the Append ring; `max_entries` 0 = no cap.
   std::uint64_t drain_ring(std::uint32_t collector_id,
-                           std::uint64_t max_entries = 0);
+                           std::uint64_t max_entries = 0) {
+    return send_read(build::drain_ring(collector_id, max_entries));
+  }
+  // Reads the Key-Increment cell owning `key`.
+  std::uint64_t read_counter(std::span<const std::byte> key) {
+    return send_read(build::read_counter(key));
+  }
+  // Reads `flow_key`'s postcard slot group.
+  std::uint64_t read_postcard_group(std::span<const std::byte> flow_key) {
+    return send_read(build::read_postcard_group(flow_key));
+  }
+  // Count-min estimate for `key`.
+  std::uint64_t sketch_estimate(std::span<const std::byte> key) {
+    return send_read(build::sketch_estimate(key));
+  }
+  // Top-k heavy hitters of the collector's tracker; `k` >= 1.
+  std::uint64_t sketch_topk(std::uint32_t collector_id, std::uint16_t k) {
+    return send_read(build::sketch_topk(collector_id, k));
+  }
 
-  // Reads the Key-Increment cell owning `key` (hash-routed like query(),
-  // honoring retargets).
-  std::uint64_t read_counter(std::span<const std::byte> key);
-
-  // Reads `flow_key`'s postcard slot group (hash-routed like query()).
-  std::uint64_t read_postcard_group(std::span<const std::byte> flow_key);
-
+  // Answer for a completed request, if it has arrived (removes it).
+  [[nodiscard]] std::optional<QueryResponse> take_response(std::uint64_t request_id) {
+    return store_.take<QueryResponse>(request_id);
+  }
   [[nodiscard]] std::optional<PrimitiveResponse> take_primitive_response(
-      std::uint64_t request_id);
-
-  // --- sketch backend queries (query_protocol.hpp, sketch v1) --------------
-  //
-  // Same transport and outstanding-id discipline as query(); answers arrive
-  // via take_sketch_response(). Returns 0 if the request could not be sent.
-
-  // Count-min estimate for `key` (hash-routed like query(), honoring
-  // retargets).
-  std::uint64_t sketch_estimate(std::span<const std::byte> key);
-
-  // Top-k heavy hitters tracked by collector `collector_id` (trackers are
-  // per-collector, so top-k targets an explicit collector, not a hashed
-  // key). `k` >= 1.
-  std::uint64_t sketch_topk(std::uint32_t collector_id, std::uint16_t k);
-
+      std::uint64_t request_id) {
+    return store_.take<PrimitiveResponse>(request_id);
+  }
   [[nodiscard]] std::optional<SketchResponse> take_sketch_response(
-      std::uint64_t request_id);
+      std::uint64_t request_id) {
+    return store_.take<SketchResponse>(request_id);
+  }
 
-  // --- standing queries (query_protocol.hpp, gateway v1) --------------------
+  // --- standing queries (query_protocol.hpp, gateway-v1) --------------------
   //
   // Registration rides the same outstanding-id discipline (the ack retires
   // the request); notifications are unsolicited pushes, recorded as they
@@ -279,22 +320,35 @@ class OperatorClient final : public net::Node {
   // frames. Returns 0 if the request could not be sent.
 
   std::uint64_t subscribe_key_change(net::Ipv4Addr gateway_ip,
-                                     std::span<const std::byte> key);
+                                     std::span<const std::byte> key) {
+    return send_subscribe(gateway_ip, build::subscribe_key_change(key));
+  }
   std::uint64_t subscribe_counter_threshold(net::Ipv4Addr gateway_ip,
                                             std::span<const std::byte> key,
-                                            std::uint64_t threshold);
+                                            std::uint64_t threshold) {
+    return send_subscribe(gateway_ip,
+                          build::subscribe_counter_threshold(key, threshold));
+  }
   std::uint64_t subscribe_topk_delta(net::Ipv4Addr gateway_ip,
                                      std::uint32_t collector_id,
-                                     std::uint16_t k);
+                                     std::uint16_t k) {
+    return send_subscribe(gateway_ip, build::subscribe_topk_delta(collector_id, k));
+  }
   std::uint64_t unsubscribe(net::Ipv4Addr gateway_ip,
-                            std::uint64_t subscription_id);
+                            std::uint64_t subscription_id) {
+    return send_subscribe(gateway_ip, build::unsubscribe(subscription_id));
+  }
 
   [[nodiscard]] std::optional<SubscribeAck> take_subscribe_ack(
-      std::uint64_t request_id);
+      std::uint64_t request_id) {
+    return store_.take<SubscribeAck>(request_id);
+  }
   // Drains every notification received so far (arrival order).
-  [[nodiscard]] std::vector<StandingNotification> take_notifications();
+  [[nodiscard]] std::vector<StandingNotification> take_notifications() {
+    return store_.take_notifications();
+  }
   [[nodiscard]] std::uint64_t notifications_received() const noexcept {
-    return notifications_received_;
+    return store_.notifications_received();
   }
 
   // --- request deadlines (off by default) -----------------------------------
@@ -379,17 +433,16 @@ class OperatorClient final : public net::Node {
     std::vector<std::uint64_t> wire_ids;  // original + every retry
   };
 
-  // Sends an encoded request to collector `collector_id`'s service; returns
-  // false if the id is unknown or its service IP does not resolve.
-  bool send_to_collector(std::uint32_t collector_id,
-                         std::vector<std::byte> payload);
+  // Stamp a fresh id and the epoch, route, send and track; the id, or 0 if
+  // the request was not sent.
+  std::uint64_t send_read(ReadRequest request);
+  std::uint64_t send_subscribe(net::Ipv4Addr gateway_ip, SubscribeRequest request);
+  std::uint64_t send(net::Ipv4Addr destination, std::uint64_t wire_id,
+                     std::vector<std::byte> payload);
   [[nodiscard]] bool send_to_ip(net::Ipv4Addr ip,
                                 std::span<const std::byte> payload);
   // Retarget-aware service selection for a hashed key.
   [[nodiscard]] std::uint32_t route_of(std::span<const std::byte> key) const;
-  // Books a freshly-sent request as outstanding and arms its deadline.
-  void track(std::uint64_t wire_id, net::Ipv4Addr destination,
-             std::vector<std::byte> payload);
   // First response for any wire id of a logical request retires it; returns
   // the logical id, or nullopt for duplicates/replays/unknown ids.
   [[nodiscard]] std::optional<std::uint64_t> retire(std::uint64_t wire_id);
@@ -401,11 +454,7 @@ class OperatorClient final : public net::Node {
   net::Ipv4Addr ip_;
   std::vector<net::Ipv4Addr> service_ips_;
   IpResolver resolver_;
-  std::unordered_map<std::uint64_t, QueryResponse> responses_;
-  std::unordered_map<std::uint64_t, PrimitiveResponse> primitive_responses_;
-  std::unordered_map<std::uint64_t, SketchResponse> sketch_responses_;
-  std::unordered_map<std::uint64_t, SubscribeAck> subscribe_acks_;
-  std::vector<StandingNotification> notifications_;
+  ResponseStore store_;
   // Logical id (the original wire id) → in-flight record, plus the alias map
   // every arriving response resolves through.
   std::unordered_map<std::uint64_t, PendingRequest> pending_req_;
@@ -419,7 +468,6 @@ class OperatorClient final : public net::Node {
   std::uint64_t stray_ = 0;
   std::uint64_t unexpected_ = 0;
   std::uint64_t degraded_ = 0;
-  std::uint64_t notifications_received_ = 0;
   std::uint64_t timeouts_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t timeout_ns_ = 0;  // 0 = deadlines disarmed

@@ -1,73 +1,12 @@
 #include "query/gateway.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
-#include "common/bytes.hpp"
 
 namespace dart::query {
 
 namespace {
-
-// Shared header layout of every request AND response family on UDP/4800
-// (query_protocol.hpp): the request id sits big-endian at [4, 12) and the
-// epoch at [12, 16); responses add flags at [16] and stale_epochs at
-// [17, 19). This is what lets the gateway re-stamp ids and staleness on raw
-// payload bytes without re-encoding.
-constexpr std::size_t kIdOffset = 4;
-constexpr std::size_t kEpochOffset = 12;
-constexpr std::size_t kFlagsOffset = 16;
-constexpr std::size_t kStaleOffset = 17;
-constexpr std::size_t kResponseHeaderBytes = 19;
-
-// Wire magics (documented in query_protocol.hpp; the parse/is_* helpers own
-// the authoritative values — these only route dispatch before parsing).
-constexpr std::uint16_t kMagicQueryRequest = 0x4451;
-constexpr std::uint16_t kMagicQueryResponse = 0x4452;
-constexpr std::uint16_t kMagicSketchRequest = 0x4453;
-constexpr std::uint16_t kMagicSketchResponse = 0x4454;
-constexpr std::uint16_t kMagicSubscribeRequest = 0x4455;
-constexpr std::uint16_t kMagicPrimitiveRequest = 0x4470;
-constexpr std::uint16_t kMagicPrimitiveResponse = 0x4472;
-
-[[nodiscard]] std::uint16_t read_magic(std::span<const std::byte> payload) {
-  if (payload.size() < 2) return 0;
-  return static_cast<std::uint16_t>(
-      (std::to_integer<std::uint16_t>(payload[0]) << 8) |
-      std::to_integer<std::uint16_t>(payload[1]));
-}
-
-[[nodiscard]] std::uint64_t read_request_id(std::span<const std::byte> payload) {
-  if (payload.size() < kIdOffset + 8) return 0;
-  std::uint64_t be = 0;
-  std::memcpy(&be, payload.data() + kIdOffset, sizeof(be));
-  return net_to_host64(be);
-}
-
-void patch_id_epoch(std::vector<std::byte>& payload, std::uint64_t id,
-                    std::uint32_t epoch) {
-  if (payload.size() < kEpochOffset + 4) return;
-  const std::uint64_t id_be = host_to_net64(id);
-  std::memcpy(payload.data() + kIdOffset, &id_be, sizeof(id_be));
-  const std::uint32_t epoch_be = host_to_net32(epoch);
-  std::memcpy(payload.data() + kEpochOffset, &epoch_be, sizeof(epoch_be));
-}
-
-// A cache hit `age` epochs old is exactly `age` epochs staler than the
-// upstream answer claimed; the degraded flag rides along so the operator's
-// existing staleness handling sees it.
-void add_staleness(std::vector<std::byte>& payload, std::uint64_t age) {
-  if (age == 0 || payload.size() < kResponseHeaderBytes) return;
-  payload[kFlagsOffset] |= std::byte{core::kResponseDegraded};
-  std::uint16_t be = 0;
-  std::memcpy(&be, payload.data() + kStaleOffset, sizeof(be));
-  const std::uint32_t sum = net_to_host16(be) + std::min<std::uint64_t>(age, 0xFFFF);
-  const std::uint16_t stale =
-      sum > 0xFFFF ? 0xFFFF : static_cast<std::uint16_t>(sum);
-  be = host_to_net16(stale);
-  std::memcpy(payload.data() + kStaleOffset, &be, sizeof(be));
-}
 
 net::UdpFrameSpec udp_spec(net::Ipv4Addr from, net::Ipv4Addr to) {
   net::UdpFrameSpec spec;
@@ -82,213 +21,24 @@ net::UdpFrameSpec udp_spec(net::Ipv4Addr from, net::Ipv4Addr to) {
 
 // --- GatewaySession ---------------------------------------------------------
 
-std::uint64_t GatewaySession::query(std::span<const std::byte> key,
-                                    core::ReturnPolicy policy) {
-  core::QueryRequest request;
-  request.request_id = next_id_++;
-  request.epoch = static_cast<std::uint32_t>(gateway_->gateway_epoch());
-  request.policy = policy;
-  request.key.assign(key.begin(), key.end());
-  return gateway_->session_submit(
-      *this, QueryGateway::Family::kKv, gateway_->route_key(key),
-      static_cast<std::uint8_t>(policy), 0, key,
-      core::encode_query_request(request), request.request_id,
-      /*cacheable=*/true);
+std::uint64_t GatewaySession::submit(core::ReadRequest read) {
+  read.request_id = next_id_++;
+  return gateway_->session_submit(*this, read);
 }
 
-std::uint64_t GatewaySession::drain_ring(std::uint32_t collector_id,
-                                         std::uint64_t max_entries) {
-  core::PrimitiveRequest request;
-  request.op = core::PrimitiveOp::kDrainRing;
+std::uint64_t GatewaySession::subscribe(core::SubscribeRequest request) {
   request.request_id = next_id_++;
-  request.epoch = static_cast<std::uint32_t>(gateway_->gateway_epoch());
-  request.max_entries = max_entries;
-  // A drain is a consuming read: never cached, never coalesced — two
-  // operators draining the same ring must each get their own entries.
-  return gateway_->session_submit(
-      *this, QueryGateway::Family::kPrimitive,
-      gateway_->apply_retarget(collector_id),
-      static_cast<std::uint8_t>(request.op), 0, {},
-      core::encode_primitive_request(request), request.request_id,
-      /*cacheable=*/false);
-}
-
-std::uint64_t GatewaySession::read_counter(std::span<const std::byte> key) {
-  core::PrimitiveRequest request;
-  request.op = core::PrimitiveOp::kReadCounter;
-  request.request_id = next_id_++;
-  request.epoch = static_cast<std::uint32_t>(gateway_->gateway_epoch());
-  request.key.assign(key.begin(), key.end());
-  return gateway_->session_submit(
-      *this, QueryGateway::Family::kPrimitive, gateway_->route_key(key),
-      static_cast<std::uint8_t>(request.op), 0, key,
-      core::encode_primitive_request(request), request.request_id,
-      /*cacheable=*/true);
-}
-
-std::uint64_t GatewaySession::read_postcard_group(
-    std::span<const std::byte> flow_key) {
-  core::PrimitiveRequest request;
-  request.op = core::PrimitiveOp::kReadPostcardGroup;
-  request.request_id = next_id_++;
-  request.epoch = static_cast<std::uint32_t>(gateway_->gateway_epoch());
-  request.key.assign(flow_key.begin(), flow_key.end());
-  return gateway_->session_submit(
-      *this, QueryGateway::Family::kPrimitive, gateway_->route_key(flow_key),
-      static_cast<std::uint8_t>(request.op), 0, flow_key,
-      core::encode_primitive_request(request), request.request_id,
-      /*cacheable=*/true);
-}
-
-std::uint64_t GatewaySession::sketch_estimate(std::span<const std::byte> key) {
-  core::SketchRequest request;
-  request.op = core::SketchOp::kEstimate;
-  request.request_id = next_id_++;
-  request.epoch = static_cast<std::uint32_t>(gateway_->gateway_epoch());
-  request.key.assign(key.begin(), key.end());
-  return gateway_->session_submit(
-      *this, QueryGateway::Family::kSketch, gateway_->route_key(key),
-      static_cast<std::uint8_t>(request.op), 0, key,
-      core::encode_sketch_request(request), request.request_id,
-      /*cacheable=*/true);
-}
-
-std::uint64_t GatewaySession::sketch_topk(std::uint32_t collector_id,
-                                          std::uint16_t k) {
-  core::SketchRequest request;
-  request.op = core::SketchOp::kTopK;
-  request.request_id = next_id_++;
-  request.epoch = static_cast<std::uint32_t>(gateway_->gateway_epoch());
-  request.k = k;
-  return gateway_->session_submit(
-      *this, QueryGateway::Family::kSketch,
-      gateway_->apply_retarget(collector_id),
-      static_cast<std::uint8_t>(request.op), k, {},
-      core::encode_sketch_request(request), request.request_id,
-      /*cacheable=*/true);
-}
-
-std::uint64_t GatewaySession::subscribe_key_change(
-    std::span<const std::byte> key) {
-  core::SubscribeRequest request;
-  request.op = core::SubscribeOp::kSubscribe;
-  request.kind = core::StandingKind::kKeyChange;
-  request.request_id = next_id_++;
-  request.key.assign(key.begin(), key.end());
   return gateway_->session_subscribe(*this, request);
 }
 
-std::uint64_t GatewaySession::subscribe_counter_threshold(
-    std::span<const std::byte> key, std::uint64_t threshold) {
-  core::SubscribeRequest request;
-  request.op = core::SubscribeOp::kSubscribe;
-  request.kind = core::StandingKind::kCounterThreshold;
-  request.request_id = next_id_++;
-  request.threshold = threshold;
-  request.key.assign(key.begin(), key.end());
-  return gateway_->session_subscribe(*this, request);
-}
-
-std::uint64_t GatewaySession::subscribe_topk_delta(std::uint32_t collector_id,
-                                                   std::uint16_t k) {
-  core::SubscribeRequest request;
-  request.op = core::SubscribeOp::kSubscribe;
-  request.kind = core::StandingKind::kTopKDelta;
-  request.request_id = next_id_++;
-  request.collector = collector_id;
-  request.k = k;
-  return gateway_->session_subscribe(*this, request);
-}
-
-std::uint64_t GatewaySession::unsubscribe(std::uint64_t subscription_id) {
-  core::SubscribeRequest request;
-  request.op = core::SubscribeOp::kUnsubscribe;
-  request.request_id = next_id_++;
-  request.subscription_id = subscription_id;
-  return gateway_->session_subscribe(*this, request);
-}
-
-void GatewaySession::deliver(std::uint8_t family,
-                             std::span<const std::byte> payload) {
-  switch (static_cast<QueryGateway::Family>(family)) {
-    case QueryGateway::Family::kKv: {
-      auto response = core::parse_query_response(payload);
-      if (!response) return;
-      if (response->degraded()) ++degraded_;
-      const std::uint64_t id = response->request_id;
-      responses_[id] = *std::move(response);
-      break;
-    }
-    case QueryGateway::Family::kPrimitive: {
-      auto response = core::parse_primitive_response(payload);
-      if (!response) return;
-      if (response->degraded()) ++degraded_;
-      const std::uint64_t id = response->request_id;
-      primitive_responses_[id] = *std::move(response);
-      break;
-    }
-    case QueryGateway::Family::kSketch: {
-      auto response = core::parse_sketch_response(payload);
-      if (!response) return;
-      if (response->degraded()) ++degraded_;
-      const std::uint64_t id = response->request_id;
-      sketch_responses_[id] = *std::move(response);
-      break;
-    }
-  }
+void GatewaySession::deliver(std::span<const std::byte> payload) {
+  auto answer = core::parse_answer(payload);
+  if (!answer) return;
+  if (core::degraded(*answer)) ++degraded_;
+  const std::uint64_t id = core::frame_request_id(payload);
+  store_.put(id, *std::move(answer));
   if (pending_ > 0) --pending_;
   ++answered_;
-}
-
-void GatewaySession::deliver_ack(const core::SubscribeAck& ack) {
-  subscribe_acks_[ack.request_id] = ack;
-}
-
-void GatewaySession::deliver_notification(core::StandingNotification note) {
-  ++notifications_received_;
-  notifications_.push_back(std::move(note));
-}
-
-std::optional<core::QueryResponse> GatewaySession::take_response(
-    std::uint64_t request_id) {
-  const auto it = responses_.find(request_id);
-  if (it == responses_.end()) return std::nullopt;
-  core::QueryResponse resp = std::move(it->second);
-  responses_.erase(it);
-  return resp;
-}
-
-std::optional<core::PrimitiveResponse> GatewaySession::take_primitive_response(
-    std::uint64_t request_id) {
-  const auto it = primitive_responses_.find(request_id);
-  if (it == primitive_responses_.end()) return std::nullopt;
-  core::PrimitiveResponse resp = std::move(it->second);
-  primitive_responses_.erase(it);
-  return resp;
-}
-
-std::optional<core::SketchResponse> GatewaySession::take_sketch_response(
-    std::uint64_t request_id) {
-  const auto it = sketch_responses_.find(request_id);
-  if (it == sketch_responses_.end()) return std::nullopt;
-  core::SketchResponse resp = std::move(it->second);
-  sketch_responses_.erase(it);
-  return resp;
-}
-
-std::optional<core::SubscribeAck> GatewaySession::take_subscribe_ack(
-    std::uint64_t request_id) {
-  const auto it = subscribe_acks_.find(request_id);
-  if (it == subscribe_acks_.end()) return std::nullopt;
-  core::SubscribeAck ack = it->second;
-  subscribe_acks_.erase(it);
-  return ack;
-}
-
-std::vector<core::StandingNotification> GatewaySession::take_notifications() {
-  std::vector<core::StandingNotification> drained;
-  drained.swap(notifications_);
-  return drained;
 }
 
 // --- QueryGateway -----------------------------------------------------------
@@ -300,11 +50,11 @@ QueryGateway::QueryGateway(QueryGatewayConfig config,
       crafter_(&crafter),
       resolver_(std::move(resolver)),
       cache_(config_.cache_capacity),
-      hist_kv_(0.0, config_.latency_hist_max_ns, config_.latency_hist_buckets),
-      hist_primitive_(0.0, config_.latency_hist_max_ns,
-                      config_.latency_hist_buckets),
-      hist_sketch_(0.0, config_.latency_hist_max_ns,
-                   config_.latency_hist_buckets) {
+      latency_{{
+          {0.0, config_.latency_hist_max_ns, config_.latency_hist_buckets},
+          {0.0, config_.latency_hist_max_ns, config_.latency_hist_buckets},
+          {0.0, config_.latency_hist_max_ns, config_.latency_hist_buckets},
+      }} {
   for (std::uint32_t c = 0; c < config_.virtual_ips.size(); ++c) {
     vip_index_.emplace(config_.virtual_ips[c].value, c);
   }
@@ -334,45 +84,33 @@ std::uint32_t QueryGateway::route_key(std::span<const std::byte> key) const {
   return apply_retarget(collector);
 }
 
-obs::Histogram& QueryGateway::hist_of(Family family) {
-  switch (family) {
-    case Family::kPrimitive: return hist_primitive_;
-    case Family::kSketch: return hist_sketch_;
-    case Family::kKv: break;
-  }
-  return hist_kv_;
+std::uint32_t QueryGateway::route_read(const core::ReadRequest& read) const {
+  return core::read_op(read.family, read.op)->keyed
+             ? route_key(read.key)
+             : apply_retarget(read.collector);
 }
 
-void QueryGateway::record_latency(Family family, double ns) {
-  hist_of(family).record(ns);
-  obs::Histogram* mirror = family == Family::kKv          ? reg_hist_kv_
-                           : family == Family::kPrimitive ? reg_hist_primitive_
-                                                          : reg_hist_sketch_;
-  if (mirror != nullptr) mirror->record(ns);
+void QueryGateway::record_latency(core::Family family, double ns) {
+  const auto i = static_cast<std::size_t>(family) - 1;
+  latency_[i].record(ns);
+  if (latency_mirror_[i] != nullptr) latency_mirror_[i]->record(ns);
 }
 
 std::uint64_t QueryGateway::session_submit(GatewaySession& session,
-                                           Family family,
-                                           std::uint32_t collector,
-                                           std::uint8_t op, std::uint16_t k,
-                                           std::span<const std::byte> key,
-                                           std::vector<std::byte> payload,
-                                           std::uint64_t downstream_id,
-                                           bool cacheable) {
+                                           const core::ReadRequest& read) {
   Origin origin;
   origin.kind = Origin::Kind::kSession;
   origin.session = session.index();
-  origin.downstream_id = downstream_id;
+  origin.downstream_id = read.request_id;
   origin.epoch = static_cast<std::uint32_t>(epoch_);
   ++session.issued_;
   ++session.pending_;
-  if (submit(family, collector, op, k, key, std::move(payload), origin,
-             cacheable) == 0) {
+  if (!submit(read, route_read(read), origin)) {
     --session.issued_;
     --session.pending_;
     return 0;
   }
-  return downstream_id;
+  return read.request_id;
 }
 
 std::uint64_t QueryGateway::session_subscribe(
@@ -380,8 +118,7 @@ std::uint64_t QueryGateway::session_subscribe(
   Origin subscriber;
   subscriber.kind = Origin::Kind::kSession;
   subscriber.session = session.index();
-  core::SubscribeAck ack = do_subscribe(request, subscriber);
-  session.deliver_ack(ack);
+  session.store_.put(request.request_id, do_subscribe(request, subscriber));
   return request.request_id;
 }
 
@@ -439,60 +176,59 @@ std::optional<std::uint64_t> QueryGateway::register_standing(
   return sub_id;
 }
 
-std::uint64_t QueryGateway::submit(Family family, std::uint32_t collector,
-                                   std::uint8_t op, std::uint16_t k,
-                                   std::span<const std::byte> key,
-                                   std::vector<std::byte> payload,
-                                   Origin origin, bool cacheable) {
+bool QueryGateway::submit(const core::ReadRequest& read,
+                          std::uint32_t collector, Origin origin) {
   ++requests_;
   if (collector >= config_.service_ips.size()) {
     ++unroutable_;
-    return 0;
+    return false;
   }
+  const core::ReadOp* op = core::read_op(read.family, read.op);
   CacheKey ck;
   ck.collector = collector;
-  ck.family = static_cast<std::uint8_t>(family);
-  ck.op = op;
-  ck.k = k;
-  ck.key.assign(key.begin(), key.end());
+  ck.family = static_cast<std::uint8_t>(read.family);
+  ck.op = read.op;
+  ck.k = read.k;
+  ck.key.assign(read.key.begin(), read.key.end());
 
-  if (cacheable) {
+  if (op->cacheable) {
     if (auto hit = cache_.get(ck, epoch_, config_.cache_max_age_epochs)) {
       // Served locally: zero collector CPU, ~zero latency. Recording the hit
       // as 0 ns keeps the SLO histograms honest about what operators see.
-      record_latency(family, 0.0);
-      deliver(origin, family, hit->payload, hit->age_epochs);
-      return origin.downstream_id != 0 ? origin.downstream_id : 1;
+      record_latency(read.family, 0.0);
+      deliver(origin, hit->payload, hit->age_epochs);
+      return true;
     }
     if (const auto it = coalesce_.find(ck); it != coalesce_.end()) {
       upstream_[it->second].waiters.push_back(origin);
       ++coalesced_;
-      return origin.downstream_id != 0 ? origin.downstream_id : 1;
+      return true;
     }
   }
 
+  // The upstream request carries the gateway's own id space and epoch.
+  const std::uint64_t logical = next_upstream_id_++;
+  core::ReadRequest upstream = read;
+  upstream.request_id = logical;
+  upstream.epoch = static_cast<std::uint32_t>(epoch_);
   PendingUpstream rec;
   rec.collector = collector;
-  rec.family = family;
   rec.op = op;
-  rec.payload = std::move(payload);
+  rec.payload = core::encode_read(upstream);
   rec.retries_left = config_.max_retries;
   rec.waiters.push_back(origin);
   rec.first_enqueued_ns = sim_ != nullptr ? sim_->now_ns() : 0;
-  rec.cacheable = cacheable;
+  rec.cacheable = op->cacheable;
   rec.cache_key = ck;
-
-  const std::uint64_t logical = next_upstream_id_++;
   rec.newest_wire_id = logical;
   rec.wire_ids.push_back(logical);
-  patch_id_epoch(rec.payload, logical, static_cast<std::uint32_t>(epoch_));
   upstream_alias_[logical] = logical;
   const auto [it, inserted] = upstream_.emplace(logical, std::move(rec));
-  if (cacheable) coalesce_.emplace(std::move(ck), logical);
+  if (op->cacheable) coalesce_.emplace(std::move(ck), logical);
   inflight_highwater_ = std::max(inflight_highwater_, upstream_.size());
   send_upstream(it->second);
   arm_deadline(logical, logical);
-  return origin.downstream_id != 0 ? origin.downstream_id : 1;
+  return true;
 }
 
 void QueryGateway::send_upstream(PendingUpstream& rec) {
@@ -524,8 +260,7 @@ void QueryGateway::on_deadline(std::uint64_t logical_id,
     --rec.retries_left;
     ++upstream_retries_;
     const std::uint64_t fresh = next_upstream_id_++;
-    const std::uint64_t be = host_to_net64(fresh);
-    std::memcpy(rec.payload.data() + kIdOffset, &be, sizeof(be));
+    core::set_frame_request_id(rec.payload, fresh);
     rec.newest_wire_id = fresh;
     rec.wire_ids.push_back(fresh);
     upstream_alias_[fresh] = logical_id;
@@ -545,36 +280,13 @@ void QueryGateway::on_deadline(std::uint64_t logical_id,
       sim_ != nullptr
           ? static_cast<double>(sim_->now_ns() - dead.first_enqueued_ns)
           : 0.0;
-  record_latency(dead.family, waited_ns);
-  const auto payload = synthesize_timeout(dead);
+  record_latency(dead.op->family, waited_ns);
+  const auto payload = core::encode_empty_answer(
+      *dead.op, core::kResponseDegraded | core::kResponseGatewayTimeout);
   for (const Origin& origin : dead.waiters) {
     if (origin.kind == Origin::Kind::kStanding) continue;
-    deliver(origin, dead.family, payload, 0);
+    deliver(origin, payload, 0);
   }
-}
-
-std::vector<std::byte> QueryGateway::synthesize_timeout(
-    const PendingUpstream& rec) const {
-  const std::uint8_t flags =
-      core::kResponseDegraded | core::kResponseGatewayTimeout;
-  switch (rec.family) {
-    case Family::kPrimitive: {
-      core::PrimitiveResponse resp;
-      resp.op = static_cast<core::PrimitiveOp>(rec.op);
-      resp.flags = flags;
-      return core::encode_primitive_response(resp);
-    }
-    case Family::kSketch: {
-      core::SketchResponse resp;
-      resp.op = static_cast<core::SketchOp>(rec.op);
-      resp.flags = flags;
-      return core::encode_sketch_response(resp);
-    }
-    case Family::kKv: break;
-  }
-  core::QueryResponse resp;
-  resp.flags = flags;
-  return core::encode_query_response(resp);
 }
 
 void QueryGateway::receive(net::Packet packet, std::uint64_t now_ns) {
@@ -593,120 +305,49 @@ void QueryGateway::receive(net::Packet packet, std::uint64_t now_ns) {
     ++not_for_me_;
     return;
   }
-  switch (read_magic(frame->payload)) {
-    case kMagicQueryRequest:
-    case kMagicPrimitiveRequest:
-    case kMagicSketchRequest:
-      handle_wire_request(*frame, to_gateway ? 0 : vip->second, !to_gateway);
-      return;
-    case kMagicSubscribeRequest:
-      handle_subscribe(*frame);
-      return;
-    case kMagicQueryResponse:
-      handle_upstream_response(Family::kKv, frame->payload, now_ns);
-      return;
-    case kMagicPrimitiveResponse:
-      handle_upstream_response(Family::kPrimitive, frame->payload, now_ns);
-      return;
-    case kMagicSketchResponse:
-      handle_upstream_response(Family::kSketch, frame->payload, now_ns);
-      return;
-    default:
-      ++malformed_;
-      return;
+  const auto kind = core::classify(frame->payload);
+  if (!kind) {
+    ++malformed_;
+    return;
+  }
+  // Requests come from operators; answers from collector services. Acks and
+  // notifications are the gateway's own output.
+  if (kind->direction == core::Direction::kResponse &&
+      kind->family != core::Family::kGateway) {
+    handle_upstream_response(kind->family, frame->payload, now_ns);
+  } else if (kind->direction != core::Direction::kRequest) {
+    ++malformed_;
+  } else if (kind->family == core::Family::kGateway) {
+    handle_subscribe(*frame);
+  } else {
+    handle_wire_request(*frame, to_gateway ? std::nullopt
+                                           : std::optional(vip->second));
   }
 }
 
-void QueryGateway::handle_wire_request(const net::ParsedUdpFrame& frame,
-                                       std::uint32_t collector_hint,
-                                       bool hinted) {
+void QueryGateway::handle_wire_request(
+    const net::ParsedUdpFrame& frame,
+    std::optional<std::uint32_t> vip_collector) {
+  const auto read = core::parse_read(frame.payload);
+  if (!read) {
+    ++malformed_;
+    return;
+  }
+  // A virtual IP names its collector. At the gateway's own IP only a keyed
+  // read can be routed: a drain or a top-k names its collector by ADDRESS.
+  if (!vip_collector && !core::read_op(read->family, read->op)->keyed) {
+    ++unroutable_;
+    return;
+  }
   Origin origin;
   origin.kind = Origin::Kind::kWire;
   origin.client_ip = frame.ip.src;
   origin.reply_from = frame.ip.dst;
-
-  Family family;
-  std::uint32_t collector = 0;
-  std::uint8_t op = 0;
-  std::uint16_t k = 0;
-  std::span<const std::byte> key;
-  // The parsed request is only needed for routing + cache identity; the
-  // FORWARDED payload is the client's own bytes with the id re-stamped.
-  core::QueryRequest kv;
-  core::PrimitiveRequest prim;
-  core::SketchRequest sk;
-
-  switch (read_magic(frame.payload)) {
-    case kMagicQueryRequest: {
-      auto parsed = core::parse_query_request(frame.payload);
-      if (!parsed) {
-        ++malformed_;
-        return;
-      }
-      kv = *std::move(parsed);
-      family = Family::kKv;
-      op = static_cast<std::uint8_t>(kv.policy);
-      key = kv.key;
-      origin.downstream_id = kv.request_id;
-      origin.epoch = kv.epoch;
-      collector = hinted ? apply_retarget(collector_hint) : route_key(kv.key);
-      break;
-    }
-    case kMagicPrimitiveRequest: {
-      auto parsed = core::parse_primitive_request(frame.payload);
-      if (!parsed) {
-        ++malformed_;
-        return;
-      }
-      prim = *std::move(parsed);
-      family = Family::kPrimitive;
-      op = static_cast<std::uint8_t>(prim.op);
-      key = prim.key;
-      origin.downstream_id = prim.request_id;
-      origin.epoch = prim.epoch;
-      if (hinted) {
-        collector = apply_retarget(collector_hint);
-      } else if (prim.op != core::PrimitiveOp::kDrainRing) {
-        collector = route_key(prim.key);
-      } else {
-        // A drain names its collector by ADDRESS (the virtual IP); at the
-        // gateway's own IP there is nothing to route it by.
-        ++unroutable_;
-        return;
-      }
-      break;
-    }
-    default: {  // kMagicSketchRequest — receive() only routes these three
-      auto parsed = core::parse_sketch_request(frame.payload);
-      if (!parsed) {
-        ++malformed_;
-        return;
-      }
-      sk = *std::move(parsed);
-      family = Family::kSketch;
-      op = static_cast<std::uint8_t>(sk.op);
-      k = sk.k;
-      key = sk.key;
-      origin.downstream_id = sk.request_id;
-      origin.epoch = sk.epoch;
-      if (hinted) {
-        collector = apply_retarget(collector_hint);
-      } else if (sk.op == core::SketchOp::kEstimate) {
-        collector = route_key(sk.key);
-      } else {
-        ++unroutable_;
-        return;
-      }
-      break;
-    }
-  }
-
-  const bool cacheable =
-      !(family == Family::kPrimitive &&
-        op == static_cast<std::uint8_t>(core::PrimitiveOp::kDrainRing));
-  std::vector<std::byte> payload(frame.payload.begin(), frame.payload.end());
-  (void)submit(family, collector, op, k, key, std::move(payload), origin,
-               cacheable);
+  origin.downstream_id = read->request_id;
+  origin.epoch = read->epoch;
+  const std::uint32_t collector =
+      vip_collector ? apply_retarget(*vip_collector) : route_key(read->key);
+  (void)submit(*read, collector, origin);
 }
 
 void QueryGateway::handle_subscribe(const net::ParsedUdpFrame& frame) {
@@ -728,10 +369,16 @@ void QueryGateway::handle_subscribe(const net::ParsedUdpFrame& frame) {
   sim_->send(self_, *dest, net::Packet(std::move(reply)));
 }
 
-void QueryGateway::handle_upstream_response(Family family,
+void QueryGateway::handle_upstream_response(core::Family family,
                                             std::span<const std::byte> payload,
                                             std::uint64_t now_ns) {
-  const std::uint64_t wire_id = read_request_id(payload);
+  // Only a complete answer may retire, be cached or fan out; a broken one is
+  // left to the deadline, which retries it or times it out.
+  if (!core::validate_response(payload)) {
+    ++malformed_;
+    return;
+  }
+  const std::uint64_t wire_id = core::frame_request_id(payload);
   const auto alias = upstream_alias_.find(wire_id);
   if (alias == upstream_alias_.end()) {
     // Duplicate, replay, or an answer that outlived its timeout synthesis.
@@ -740,7 +387,7 @@ void QueryGateway::handle_upstream_response(Family family,
   }
   const std::uint64_t logical = alias->second;
   const auto it = upstream_.find(logical);
-  if (it == upstream_.end() || it->second.family != family) {
+  if (it == upstream_.end() || it->second.op->family != family) {
     ++upstream_unexpected_;
     return;
   }
@@ -753,30 +400,28 @@ void QueryGateway::handle_upstream_response(Family family,
                  static_cast<double>(now_ns - rec.first_enqueued_ns));
   // Only clean answers are worth replaying: degraded / unavailable /
   // timed-out responses must be re-asked, not amplified by the cache.
-  if (rec.cacheable && payload.size() >= kResponseHeaderBytes &&
-      payload[kFlagsOffset] == std::byte{0}) {
+  if (rec.cacheable && payload[core::kFrameFlagsOffset] == std::byte{0}) {
     cache_.put(rec.cache_key,
                std::vector<std::byte>(payload.begin(), payload.end()), epoch_);
   }
   for (const Origin& origin : rec.waiters) {
-    deliver(origin, family, payload, 0);
+    deliver(origin, payload, 0);
   }
 }
 
-void QueryGateway::deliver(const Origin& origin, Family family,
+void QueryGateway::deliver(const Origin& origin,
                            std::span<const std::byte> payload,
                            std::uint64_t age_epochs) {
   if (origin.kind == Origin::Kind::kStanding) {
-    evaluate_standing(origin.sub_id, family, payload);
+    evaluate_standing(origin.sub_id, payload);
     return;
   }
   std::vector<std::byte> copy(payload.begin(), payload.end());
-  patch_id_epoch(copy, origin.downstream_id, origin.epoch);
-  add_staleness(copy, age_epochs);
+  core::set_frame_id_epoch(copy, origin.downstream_id, origin.epoch);
+  core::add_frame_staleness(copy, age_epochs);
   if (origin.kind == Origin::Kind::kSession) {
     if (origin.session < sessions_.size()) {
-      sessions_[origin.session]->deliver(static_cast<std::uint8_t>(family),
-                                         copy);
+      sessions_[origin.session]->deliver(copy);
     }
     return;
   }
@@ -797,51 +442,23 @@ void QueryGateway::on_epoch(std::uint64_t epoch) {
     Origin origin;
     origin.kind = Origin::Kind::kStanding;
     origin.sub_id = sub_id;
-    switch (st.kind) {
-      case core::StandingKind::kKeyChange: {
-        core::QueryRequest req;
-        req.epoch = static_cast<std::uint32_t>(epoch_);
-        req.key = st.key;
-        (void)submit(Family::kKv, route_key(st.key),
-                     static_cast<std::uint8_t>(req.policy), 0, st.key,
-                     core::encode_query_request(req), origin,
-                     /*cacheable=*/true);
-        break;
-      }
-      case core::StandingKind::kCounterThreshold: {
-        core::PrimitiveRequest req;
-        req.op = core::PrimitiveOp::kReadCounter;
-        req.epoch = static_cast<std::uint32_t>(epoch_);
-        req.key = st.key;
-        (void)submit(Family::kPrimitive, route_key(st.key),
-                     static_cast<std::uint8_t>(req.op), 0, st.key,
-                     core::encode_primitive_request(req), origin,
-                     /*cacheable=*/true);
-        break;
-      }
-      case core::StandingKind::kTopKDelta: {
-        core::SketchRequest req;
-        req.op = core::SketchOp::kTopK;
-        req.epoch = static_cast<std::uint32_t>(epoch_);
-        req.k = st.k;
-        (void)submit(Family::kSketch, apply_retarget(st.collector),
-                     static_cast<std::uint8_t>(req.op), st.k, {},
-                     core::encode_sketch_request(req), origin,
-                     /*cacheable=*/true);
-        break;
-      }
-    }
+    const core::ReadRequest read =
+        st.kind == core::StandingKind::kKeyChange
+            ? core::build::query(st.key, core::ReturnPolicy::kPlurality)
+        : st.kind == core::StandingKind::kCounterThreshold
+            ? core::build::read_counter(st.key)
+            : core::build::sketch_topk(st.collector, st.k);
+    (void)submit(read, route_read(read), origin);
   }
 }
 
-void QueryGateway::evaluate_standing(std::uint64_t sub_id, Family family,
+void QueryGateway::evaluate_standing(std::uint64_t sub_id,
                                      std::span<const std::byte> payload) {
   const auto it = standing_.find(sub_id);
   if (it == standing_.end()) return;  // unsubscribed while the read flew
   Standing& st = it->second;
   switch (st.kind) {
     case core::StandingKind::kKeyChange: {
-      if (family != Family::kKv) return;
       const auto resp = core::parse_query_response(payload);
       if (!resp) return;
       const bool changed = !st.has_last || resp->outcome != st.last_outcome ||
@@ -861,7 +478,6 @@ void QueryGateway::evaluate_standing(std::uint64_t sub_id, Family family,
       return;
     }
     case core::StandingKind::kCounterThreshold: {
-      if (family != Family::kPrimitive) return;
       const auto resp = core::parse_primitive_response(payload);
       if (!resp || resp->op != core::PrimitiveOp::kReadCounter) return;
       if (resp->counter_value >= st.threshold) {
@@ -880,7 +496,6 @@ void QueryGateway::evaluate_standing(std::uint64_t sub_id, Family family,
       return;
     }
     case core::StandingKind::kTopKDelta: {
-      if (family != Family::kSketch) return;
       const auto resp = core::parse_sketch_response(payload);
       if (!resp || resp->op != core::SketchOp::kTopK) return;
       std::set<std::vector<std::byte>> members;
@@ -910,7 +525,7 @@ void QueryGateway::push_notification(std::uint64_t sub_id, Standing& st,
   const Origin& to = st.subscriber;
   if (to.kind == Origin::Kind::kSession) {
     if (to.session < sessions_.size()) {
-      sessions_[to.session]->deliver_notification(std::move(note));
+      sessions_[to.session]->store_.push(std::move(note));
     }
     return;
   }
@@ -965,7 +580,7 @@ void QueryGateway::bind_metrics(obs::MetricRegistry& registry,
                       "subscribe requests refused (bad predicate)");
   registry.counter_fn(prefix + "_gateway_malformed_total",
                       [this] { return malformed_; },
-                      "unparsable frames or unknown magics");
+                      "unparsable frames, unknown magics or broken upstream answers");
   registry.counter_fn(prefix + "_gateway_not_for_me_total",
                       [this] { return not_for_me_; },
                       "well-formed frames addressed to another node");
@@ -984,17 +599,15 @@ void QueryGateway::bind_metrics(obs::MetricRegistry& registry,
   registry.gauge_fn(prefix + "_gateway_standing",
                     [this] { return static_cast<double>(standing_.size()); },
                     "registered standing queries");
-  reg_hist_kv_ = &registry.histogram(
-      prefix + "_gateway_latency_kv_ns", 0.0, config_.latency_hist_max_ns,
-      config_.latency_hist_buckets, "KV query latency through the gateway (ns)");
-  reg_hist_primitive_ = &registry.histogram(
-      prefix + "_gateway_latency_primitive_ns", 0.0,
-      config_.latency_hist_max_ns, config_.latency_hist_buckets,
-      "primitive query latency through the gateway (ns)");
-  reg_hist_sketch_ = &registry.histogram(
-      prefix + "_gateway_latency_sketch_ns", 0.0, config_.latency_hist_max_ns,
-      config_.latency_hist_buckets,
-      "sketch query latency through the gateway (ns)");
+  static constexpr std::array<std::pair<const char*, const char*>, 3> kLatency{{
+      {"kv", "KV"}, {"primitive", "primitive"}, {"sketch", "sketch"}}};
+  for (std::size_t i = 0; i < kLatency.size(); ++i) {
+    const auto& [suffix, label] = kLatency[i];
+    latency_mirror_[i] = &registry.histogram(
+        prefix + "_gateway_latency_" + suffix + "_ns", 0.0,
+        config_.latency_hist_max_ns, config_.latency_hist_buckets,
+        std::string(label) + " query latency through the gateway (ns)");
+  }
 }
 
 }  // namespace dart::query

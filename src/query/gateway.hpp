@@ -39,6 +39,7 @@
 // kResponseDegraded | kResponseGatewayTimeout — requests never park forever.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -73,38 +74,69 @@ struct QueryGatewayConfig {
 
 class QueryGateway;
 
-// One operator's in-process handle on the gateway: the same five read ops
-// and four subscribe ops OperatorClient offers, minus the wire. Requests
-// return a session-local id; answers arrive via the take_* accessors after
-// the simulator has run. Sessions are created by QueryGateway::open_session
-// and owned by the gateway.
+// One operator's in-process handle on the gateway: the same six read ops
+// and four subscribe ops OperatorClient offers, built by the same per-op
+// builders, minus the wire. Requests return a session-local id (0 if the
+// read has no routable collector); answers arrive via the take_* accessors
+// after the simulator has run. Sessions are created by
+// QueryGateway::open_session and owned by the gateway.
 class GatewaySession {
  public:
   std::uint64_t query(std::span<const std::byte> key,
-                      core::ReturnPolicy policy = core::ReturnPolicy::kPlurality);
+                      core::ReturnPolicy policy = core::ReturnPolicy::kPlurality) {
+    return submit(core::build::query(key, policy));
+  }
   std::uint64_t drain_ring(std::uint32_t collector_id,
-                           std::uint64_t max_entries = 0);
-  std::uint64_t read_counter(std::span<const std::byte> key);
-  std::uint64_t read_postcard_group(std::span<const std::byte> flow_key);
-  std::uint64_t sketch_estimate(std::span<const std::byte> key);
-  std::uint64_t sketch_topk(std::uint32_t collector_id, std::uint16_t k);
+                           std::uint64_t max_entries = 0) {
+    return submit(core::build::drain_ring(collector_id, max_entries));
+  }
+  std::uint64_t read_counter(std::span<const std::byte> key) {
+    return submit(core::build::read_counter(key));
+  }
+  std::uint64_t read_postcard_group(std::span<const std::byte> flow_key) {
+    return submit(core::build::read_postcard_group(flow_key));
+  }
+  std::uint64_t sketch_estimate(std::span<const std::byte> key) {
+    return submit(core::build::sketch_estimate(key));
+  }
+  std::uint64_t sketch_topk(std::uint32_t collector_id, std::uint16_t k) {
+    return submit(core::build::sketch_topk(collector_id, k));
+  }
 
-  std::uint64_t subscribe_key_change(std::span<const std::byte> key);
+  std::uint64_t subscribe_key_change(std::span<const std::byte> key) {
+    return subscribe(core::build::subscribe_key_change(key));
+  }
   std::uint64_t subscribe_counter_threshold(std::span<const std::byte> key,
-                                            std::uint64_t threshold);
+                                            std::uint64_t threshold) {
+    return subscribe(core::build::subscribe_counter_threshold(key, threshold));
+  }
   std::uint64_t subscribe_topk_delta(std::uint32_t collector_id,
-                                     std::uint16_t k);
-  std::uint64_t unsubscribe(std::uint64_t subscription_id);
+                                     std::uint16_t k) {
+    return subscribe(core::build::subscribe_topk_delta(collector_id, k));
+  }
+  std::uint64_t unsubscribe(std::uint64_t subscription_id) {
+    return subscribe(core::build::unsubscribe(subscription_id));
+  }
 
   [[nodiscard]] std::optional<core::QueryResponse> take_response(
-      std::uint64_t request_id);
+      std::uint64_t request_id) {
+    return store_.take<core::QueryResponse>(request_id);
+  }
   [[nodiscard]] std::optional<core::PrimitiveResponse> take_primitive_response(
-      std::uint64_t request_id);
+      std::uint64_t request_id) {
+    return store_.take<core::PrimitiveResponse>(request_id);
+  }
   [[nodiscard]] std::optional<core::SketchResponse> take_sketch_response(
-      std::uint64_t request_id);
+      std::uint64_t request_id) {
+    return store_.take<core::SketchResponse>(request_id);
+  }
   [[nodiscard]] std::optional<core::SubscribeAck> take_subscribe_ack(
-      std::uint64_t request_id);
-  [[nodiscard]] std::vector<core::StandingNotification> take_notifications();
+      std::uint64_t request_id) {
+    return store_.take<core::SubscribeAck>(request_id);
+  }
+  [[nodiscard]] std::vector<core::StandingNotification> take_notifications() {
+    return store_.take_notifications();
+  }
 
   // Requests issued and not yet answered.
   [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
@@ -113,7 +145,7 @@ class GatewaySession {
   // Answers that carried the degraded flag (includes gateway timeouts).
   [[nodiscard]] std::uint64_t degraded() const noexcept { return degraded_; }
   [[nodiscard]] std::uint64_t notifications_received() const noexcept {
-    return notifications_received_;
+    return store_.notifications_received();
   }
   [[nodiscard]] std::size_t index() const noexcept { return index_; }
 
@@ -122,11 +154,13 @@ class GatewaySession {
   GatewaySession(QueryGateway* gateway, std::size_t index)
       : gateway_(gateway), index_(index) {}
 
+  // Stamp a session-local id and hand the request to the gateway.
+  std::uint64_t submit(core::ReadRequest read);
+  std::uint64_t subscribe(core::SubscribeRequest request);
+
   // Called by the gateway when this session's answer is ready. `payload` is
   // the encoded response, already re-stamped with this session's id/epoch.
-  void deliver(std::uint8_t family, std::span<const std::byte> payload);
-  void deliver_ack(const core::SubscribeAck& ack);
-  void deliver_notification(core::StandingNotification note);
+  void deliver(std::span<const std::byte> payload);
 
   QueryGateway* gateway_;
   std::size_t index_;
@@ -135,12 +169,7 @@ class GatewaySession {
   std::uint64_t issued_ = 0;
   std::uint64_t answered_ = 0;
   std::uint64_t degraded_ = 0;
-  std::uint64_t notifications_received_ = 0;
-  std::unordered_map<std::uint64_t, core::QueryResponse> responses_;
-  std::unordered_map<std::uint64_t, core::PrimitiveResponse> primitive_responses_;
-  std::unordered_map<std::uint64_t, core::SketchResponse> sketch_responses_;
-  std::unordered_map<std::uint64_t, core::SubscribeAck> subscribe_acks_;
-  std::vector<core::StandingNotification> notifications_;
+  core::ResponseStore store_;
 };
 
 class QueryGateway final : public net::Node {
@@ -184,7 +213,8 @@ class QueryGateway final : public net::Node {
   }
 
   // Registers `<prefix>_gateway_*` counters/gauges and the per-family
-  // latency histograms `<prefix>_gateway_latency_{kv,primitive,sketch}_ns`.
+  // latency histograms `<prefix>_gateway_latency_{kv,primitive,sketch}_ns`
+  // (`_malformed_total` also counts upstream answers that fail to parse).
   void bind_metrics(obs::MetricRegistry& registry, const std::string& prefix);
 
   [[nodiscard]] const QueryGatewayConfig& config() const noexcept {
@@ -229,21 +259,17 @@ class QueryGateway final : public net::Node {
   }
   // Per-family latency snapshot (sim-time ns, cache hits recorded as 0).
   [[nodiscard]] obs::HistogramSnapshot latency_kv() const {
-    return hist_kv_.snapshot();
+    return latency_[0].snapshot();
   }
   [[nodiscard]] obs::HistogramSnapshot latency_primitive() const {
-    return hist_primitive_.snapshot();
+    return latency_[1].snapshot();
   }
   [[nodiscard]] obs::HistogramSnapshot latency_sketch() const {
-    return hist_sketch_.snapshot();
+    return latency_[2].snapshot();
   }
 
  private:
   friend class GatewaySession;
-
-  // Protocol family of one request/response, used for cache keys, latency
-  // attribution, and timeout synthesis.
-  enum class Family : std::uint8_t { kKv = 1, kPrimitive = 2, kSketch = 3 };
 
   // Who is waiting on an upstream answer.
   struct Origin {
@@ -262,9 +288,8 @@ class QueryGateway final : public net::Node {
   // like OperatorClient::PendingRequest.
   struct PendingUpstream {
     std::uint32_t collector = 0;
-    Family family = Family::kKv;
-    std::uint8_t op = 0;  // policy byte (KV) / op byte (primitive, sketch)
-    std::vector<std::byte> payload;  // upstream encoding; id at [4, 12)
+    const core::ReadOp* op = nullptr;  // family, cacheability, timeout body
+    std::vector<std::byte> payload;  // upstream encoding
     std::uint64_t newest_wire_id = 0;
     std::uint32_t retries_left = 0;
     std::vector<std::uint64_t> wire_ids;
@@ -293,51 +318,47 @@ class QueryGateway final : public net::Node {
     std::set<std::vector<std::byte>> members;
   };
 
-  // Downstream entry points (wire + session share them).
-  std::uint64_t submit(Family family, std::uint32_t collector, std::uint8_t op,
-                       std::uint16_t k, std::span<const std::byte> key,
-                       std::vector<std::byte> payload, Origin origin,
-                       bool cacheable);
-  std::uint64_t session_submit(GatewaySession& session, Family family,
-                               std::uint32_t collector, std::uint8_t op,
-                               std::uint16_t k, std::span<const std::byte> key,
-                               std::vector<std::byte> payload,
-                               std::uint64_t downstream_id, bool cacheable);
+  // Downstream entry points (wire, session and standing reads share them).
+  // submit() answers from the cache, coalesces, or goes upstream; false if
+  // `collector` is out of range.
+  bool submit(const core::ReadRequest& read, std::uint32_t collector,
+              Origin origin);
+  std::uint64_t session_submit(GatewaySession& session,
+                               const core::ReadRequest& read);
   std::uint64_t session_subscribe(GatewaySession& session,
                                   const core::SubscribeRequest& request);
   [[nodiscard]] core::SubscribeAck do_subscribe(
       const core::SubscribeRequest& request, Origin subscriber);
+  // `vip_collector`: the collector a virtual IP names (none at the gateway IP).
   void handle_wire_request(const net::ParsedUdpFrame& frame,
-                           std::uint32_t collector_hint, bool hinted);
+                           std::optional<std::uint32_t> vip_collector);
   void handle_subscribe(const net::ParsedUdpFrame& frame);
   std::optional<std::uint64_t> register_standing(const core::SubscribeRequest& req,
                                                  Origin subscriber);
 
   // Upstream half.
   void send_upstream(PendingUpstream& rec);
-  void handle_upstream_response(Family family,
+  void handle_upstream_response(core::Family family,
                                 std::span<const std::byte> payload,
                                 std::uint64_t now_ns);
   void arm_deadline(std::uint64_t logical_id, std::uint64_t wire_id);
   void on_deadline(std::uint64_t logical_id, std::uint64_t wire_id);
-  [[nodiscard]] std::vector<std::byte> synthesize_timeout(
-      const PendingUpstream& rec) const;
 
   // Fan-out: copy `payload`, patch the waiter's id/epoch (and optional cache
   // age) into the shared response header, and deliver.
-  void deliver(const Origin& origin, Family family,
-               std::span<const std::byte> payload, std::uint64_t age_epochs);
+  void deliver(const Origin& origin, std::span<const std::byte> payload,
+               std::uint64_t age_epochs);
   void push_notification(std::uint64_t sub_id, Standing& st,
                          core::StandingNotification note);
 
   // Standing evaluation (driven by on_epoch via internal upstream reads).
-  void evaluate_standing(std::uint64_t sub_id, Family family,
-                         std::span<const std::byte> payload);
+  void evaluate_standing(std::uint64_t sub_id, std::span<const std::byte> payload);
 
   [[nodiscard]] std::uint32_t apply_retarget(std::uint32_t collector) const;
   [[nodiscard]] std::uint32_t route_key(std::span<const std::byte> key) const;
-  void record_latency(Family family, double ns);
-  [[nodiscard]] obs::Histogram& hist_of(Family family);
+  // A keyed read goes to its key's owner, any other to the collector it names.
+  [[nodiscard]] std::uint32_t route_read(const core::ReadRequest& read) const;
+  void record_latency(core::Family family, double ns);
 
   QueryGatewayConfig config_;
   const core::ReportCrafter* crafter_;
@@ -372,16 +393,10 @@ class QueryGateway final : public net::Node {
   std::uint64_t not_for_me_ = 0;
   std::uint64_t unroutable_ = 0;
 
-  // Owned SLO histograms (also exposed through bind_metrics as gauges over
-  // these instances would race registration; instead bind_metrics registers
-  // pull adapters over the counters and separate registry histograms mirror
-  // these via record_latency).
-  obs::Histogram hist_kv_;
-  obs::Histogram hist_primitive_;
-  obs::Histogram hist_sketch_;
-  obs::Histogram* reg_hist_kv_ = nullptr;        // registry mirrors (optional)
-  obs::Histogram* reg_hist_primitive_ = nullptr;
-  obs::Histogram* reg_hist_sketch_ = nullptr;
+  // Owned SLO histograms of the three read families, indexed by Family - 1,
+  // and the registry histograms bind_metrics adds to mirror them.
+  std::array<obs::Histogram, 3> latency_;
+  std::array<obs::Histogram*, 3> latency_mirror_{};
 };
 
 }  // namespace dart::query

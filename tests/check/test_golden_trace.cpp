@@ -3,6 +3,7 @@
 // them through the real ingest path must reproduce the documented effects.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 
@@ -472,6 +473,71 @@ TEST(GoldenTrace, GatewayWirePayloadsParseBack) {
   EXPECT_EQ(estimate->flags, timeout);
   EXPECT_EQ(estimate->op, core::SketchOp::kEstimate);
   EXPECT_EQ(estimate->request_id, 7u);
+}
+
+// --- one framing rule for every query-plane frame -----------------------------
+
+// Each wire-family parser, by the (family, direction) the classifier files a
+// frame under.
+struct WireParser {
+  core::Family family;
+  core::Direction direction;
+  bool (*parses)(std::span<const std::byte>);
+};
+
+constexpr WireParser kWireParsers[] = {
+    {core::Family::kQuery, core::Direction::kRequest,
+     [](std::span<const std::byte> f) { return core::parse_query_request(f).has_value(); }},
+    {core::Family::kQuery, core::Direction::kResponse,
+     [](std::span<const std::byte> f) { return core::parse_query_response(f).has_value(); }},
+    {core::Family::kPrimitive, core::Direction::kRequest,
+     [](std::span<const std::byte> f) { return core::parse_primitive_request(f).has_value(); }},
+    {core::Family::kPrimitive, core::Direction::kResponse,
+     [](std::span<const std::byte> f) { return core::parse_primitive_response(f).has_value(); }},
+    {core::Family::kSketch, core::Direction::kRequest,
+     [](std::span<const std::byte> f) { return core::parse_sketch_request(f).has_value(); }},
+    {core::Family::kSketch, core::Direction::kResponse,
+     [](std::span<const std::byte> f) { return core::parse_sketch_response(f).has_value(); }},
+    {core::Family::kGateway, core::Direction::kRequest,
+     [](std::span<const std::byte> f) { return core::parse_subscribe_request(f).has_value(); }},
+    {core::Family::kGateway, core::Direction::kResponse,
+     [](std::span<const std::byte> f) { return core::parse_subscribe_ack(f).has_value(); }},
+    {core::Family::kGateway, core::Direction::kNotification,
+     [](std::span<const std::byte> f) { return core::parse_notification(f).has_value(); }},
+};
+
+// Every artifact of the four query-plane wire goldens parses with its
+// family's parser, and the same parser rejects it with one trailing byte
+// added and at every truncation.
+TEST(GoldenTrace, QueryWireFramesRejectTrailingAndTruncatedBytes) {
+  const auto committed = committed_traces();
+  std::size_t checked = 0;
+  for (const char* name : {"query_wire", "primitive_query_wire",
+                           "sketch_query_wire", "gateway_wire"}) {
+    const auto it = committed.find(name);
+    ASSERT_NE(it, committed.end()) << name;
+    for (std::size_t i = 0; i < it->second.artifacts.size(); ++i) {
+      const auto& frame = it->second.artifacts[i];
+      const auto kind = core::classify(frame);
+      ASSERT_TRUE(kind.has_value()) << name << " artifact " << i;
+      const auto parser = std::find_if(
+          std::begin(kWireParsers), std::end(kWireParsers), [&](const auto& p) {
+            return p.family == kind->family && p.direction == kind->direction;
+          });
+      ASSERT_NE(parser, std::end(kWireParsers)) << name << " artifact " << i;
+      EXPECT_TRUE(parser->parses(frame)) << name << " artifact " << i;
+      auto padded = frame;
+      padded.push_back(std::byte{0});
+      EXPECT_FALSE(parser->parses(padded))
+          << name << " artifact " << i << " accepted a trailing byte";
+      for (std::size_t len = 0; len < frame.size(); ++len) {
+        EXPECT_FALSE(parser->parses({frame.data(), len}))
+            << name << " artifact " << i << " accepted truncation to " << len;
+      }
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 7u + 7u + 5u + 12u);
 }
 
 // --- consistent-hash ring fixture --------------------------------------------

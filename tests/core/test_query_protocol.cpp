@@ -126,6 +126,36 @@ TEST(QueryProtocol, MakeResponseClampsCounts) {
   EXPECT_EQ(resp.distinct_values, 0xFF);
 }
 
+// Every request method shares one contract: an id for a request that went
+// out, 0 for one that could not be sent — here, because no service address
+// resolves — and nothing left pending or counted as sent.
+TEST(OperatorClientSend, UnsentRequestsReturnZero) {
+  DartConfig cfg;
+  cfg.n_slots = 1 << 8;
+  cfg.n_addresses = 2;
+  cfg.value_bytes = 8;
+  const ReportCrafter crafter(cfg);
+  const auto unresolvable = net::Ipv4Addr::from_octets(10, 0, 100, 0);
+  OperatorClient client(crafter, net::Ipv4Addr::from_octets(10, 9, 0, 1),
+                        {unresolvable},
+                        [](net::Ipv4Addr) -> std::optional<net::NodeId> {
+                          return std::nullopt;
+                        });
+  const auto key = key_of("never-sent");
+  EXPECT_EQ(client.query(key), 0u);
+  EXPECT_EQ(client.drain_ring(0), 0u);
+  EXPECT_EQ(client.read_counter(key), 0u);
+  EXPECT_EQ(client.read_postcard_group(key), 0u);
+  EXPECT_EQ(client.sketch_estimate(key), 0u);
+  EXPECT_EQ(client.sketch_topk(0, 4), 0u);
+  EXPECT_EQ(client.subscribe_key_change(unresolvable, key), 0u);
+  EXPECT_EQ(client.subscribe_counter_threshold(unresolvable, key, 9), 0u);
+  EXPECT_EQ(client.subscribe_topk_delta(unresolvable, 0, 4), 0u);
+  EXPECT_EQ(client.unsubscribe(unresolvable, 1), 0u);
+  EXPECT_EQ(client.pending(), 0u);
+  EXPECT_EQ(client.queries_sent(), 0u);
+}
+
 // --- end-to-end over the simulator ------------------------------------------
 
 class QueryServiceFixture : public ::testing::Test {

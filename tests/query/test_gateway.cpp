@@ -15,8 +15,8 @@
 
 #include "check/golden.hpp"
 #include "core/cluster.hpp"
-#include "core/primitives.hpp"
 #include "core/oracle.hpp"
+#include "core/primitives.hpp"
 #include "core/query_service.hpp"
 #include "net/netsim.hpp"
 #include "obs/metric.hpp"
@@ -61,6 +61,44 @@ class RawClient final : public net::Node {
   }
 
   std::vector<std::vector<std::byte>> received;
+
+ private:
+  net::Ipv4Addr ip_;
+  net::NodeId peer_;
+};
+
+// A collector service that answers every query-v2 read with a found answer
+// whose value length field (200) overruns the 8 value bytes it carries: a
+// frame with an intact header but a body no parser accepts.
+class OverrunService final : public net::Node {
+ public:
+  OverrunService(net::Ipv4Addr ip, net::NodeId peer) : ip_(ip), peer_(peer) {}
+
+  void receive(net::Packet packet, std::uint64_t /*now_ns*/) override {
+    const auto frame = net::parse_udp_frame(packet.bytes());
+    if (!frame) return;
+    const auto request = core::parse_query_request(frame->payload);
+    if (!request) return;
+    core::QueryResponse response;
+    response.request_id = request->request_id;
+    response.epoch = request->epoch;
+    response.outcome = core::QueryOutcome::kFound;
+    response.value = value_of(1);
+    auto payload = core::encode_query_response(response);
+    // The value length sits after the 19-byte response header and the
+    // checksum-matches and distinct-values bytes.
+    payload[21] = std::byte{0x00};
+    payload[22] = std::byte{200};
+    net::UdpFrameSpec spec;
+    spec.src_ip = ip_;
+    spec.dst_ip = frame->ip.src;
+    spec.src_port = core::kDartQueryUdpPort;
+    spec.dst_port = core::kDartQueryUdpPort;
+    sim_->send(self_, peer_, net::Packet(net::build_udp_frame(spec, payload)));
+    ++answered;
+  }
+
+  std::uint64_t answered = 0;
 
  private:
   net::Ipv4Addr ip_;
@@ -554,6 +592,64 @@ TEST_F(GatewayFixture, MetricsExposeGatewayCountersAndLatency) {
   const auto hist = gateway_->latency_kv();
   EXPECT_EQ(hist.total, 2u);  // one live answer + one zero-latency cache hit
   EXPECT_GE(hist.quantile(0.99), 0.0);
+}
+
+// An upstream answer that does not parse must not retire its request, be
+// cached or fan out: the gateway counts it malformed and leaves the request
+// to its deadline, which retries and finally synthesizes a timeout.
+TEST(GatewayUpstream, UnparsableAnswerIsNeitherRetiredNorCached) {
+  core::DartConfig cfg;
+  cfg.n_slots = 1 << 8;
+  cfg.n_addresses = 2;
+  cfg.value_bytes = 8;
+  const core::ReportCrafter crafter(cfg);
+  net::Simulator sim{1};
+  std::vector<std::pair<net::Ipv4Addr, net::NodeId>> arp;
+  auto resolver = [&arp](net::Ipv4Addr ip) -> std::optional<net::NodeId> {
+    for (const auto& [addr, node] : arp) {
+      if (addr == ip) return node;
+    }
+    return std::nullopt;
+  };
+  QueryGatewayConfig gcfg;
+  gcfg.gateway_ip = net::Ipv4Addr::from_octets(10, 9, 2, 254);
+  gcfg.virtual_ips = {net::Ipv4Addr::from_octets(10, 9, 2, 0)};
+  gcfg.service_ips = {net::Ipv4Addr::from_octets(10, 0, 50, 0)};
+  QueryGateway gateway(gcfg, crafter, resolver);
+  const auto gw_node = sim.add_node(gateway);
+  OverrunService service(gcfg.service_ips[0], gw_node);
+  const auto svc_node = sim.add_node(service);
+  arp.emplace_back(gcfg.gateway_ip, gw_node);
+  arp.emplace_back(gcfg.service_ips[0], svc_node);
+  sim.connect(gw_node, svc_node, /*latency_ns=*/1000);
+  obs::MetricRegistry registry;
+  gateway.bind_metrics(registry, "dart");
+
+  auto& session = gateway.open_session();
+  const auto id = session.query(key_of(1));
+  sim.run();
+
+  const std::uint64_t tries = 1 + gcfg.max_retries;
+  EXPECT_EQ(service.answered, tries);
+  EXPECT_EQ(registry.snapshot().value_of("dart_gateway_malformed_total"),
+            static_cast<double>(tries));
+  EXPECT_EQ(gateway.upstream_timeouts(), 1u);
+  EXPECT_EQ(gateway.inflight(), 0u);
+  EXPECT_EQ(gateway.cache().inserts(), 0u);
+  EXPECT_EQ(session.pending(), 0u);
+  EXPECT_EQ(session.answered(), 1u);
+  const auto resp = session.take_response(id);
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_NE(resp->flags & kResponseGatewayTimeout, 0u);
+  EXPECT_TRUE(resp->value.empty());
+
+  // Nothing was cached, so a second read in the same epoch goes upstream.
+  const auto hits = gateway.cache().hits();
+  (void)session.query(key_of(1));
+  sim.run();
+  EXPECT_EQ(gateway.cache().hits(), hits);
+  EXPECT_EQ(service.answered, 2 * tries);
+  EXPECT_EQ(session.pending(), 0u);
 }
 
 // --- sketch-backed collector: estimate, top-k, and the top-k-delta standing

@@ -1,6 +1,6 @@
 // Wire-format tests for the gateway v1 frames (core/query_protocol.hpp):
 // subscribe request / subscribe ack / standing notification round-trips,
-// magic dispatch against the other UDP/4800 families, and malformed-frame
+// classification against the other UDP/4800 families, and malformed-frame
 // rejection.
 #include <gtest/gtest.h>
 
@@ -18,6 +18,13 @@ std::vector<std::byte> bytes_of(std::initializer_list<int> xs) {
   return out;
 }
 
+// True iff the frame classifier files `wire` under (family, direction).
+bool classified_as(std::span<const std::byte> wire, Family family,
+                   Direction direction) {
+  const auto kind = classify(wire);
+  return kind && kind->family == family && kind->direction == direction;
+}
+
 TEST(GatewayProtocol, SubscribeRequestRoundTripsAllKinds) {
   SubscribeRequest req;
   req.op = SubscribeOp::kSubscribe;
@@ -28,11 +35,11 @@ TEST(GatewayProtocol, SubscribeRequestRoundTripsAllKinds) {
   req.key = bytes_of({1, 2, 3, 4, 5});
 
   const auto wire = encode_subscribe_request(req);
-  ASSERT_TRUE(is_subscribe_request(wire));
-  EXPECT_FALSE(is_subscribe_ack(wire));
-  EXPECT_FALSE(is_notification(wire));
-  EXPECT_FALSE(is_primitive_request(wire));
-  EXPECT_FALSE(is_sketch_request(wire));
+  ASSERT_TRUE(classified_as(wire, Family::kGateway, Direction::kRequest));
+  EXPECT_FALSE(classified_as(wire, Family::kGateway, Direction::kResponse));
+  EXPECT_FALSE(classified_as(wire, Family::kGateway, Direction::kNotification));
+  EXPECT_FALSE(classified_as(wire, Family::kPrimitive, Direction::kRequest));
+  EXPECT_FALSE(classified_as(wire, Family::kSketch, Direction::kRequest));
 
   const auto back = parse_subscribe_request(wire);
   ASSERT_TRUE(back.has_value());
@@ -72,8 +79,8 @@ TEST(GatewayProtocol, SubscribeAckRoundTripsIncludingRejection) {
   ack.epoch = 17;
   ack.subscription_id = 1001;
   const auto wire = encode_subscribe_ack(ack);
-  ASSERT_TRUE(is_subscribe_ack(wire));
-  EXPECT_FALSE(is_subscribe_request(wire));
+  ASSERT_TRUE(classified_as(wire, Family::kGateway, Direction::kResponse));
+  EXPECT_FALSE(classified_as(wire, Family::kGateway, Direction::kRequest));
   const auto back = parse_subscribe_ack(wire);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->request_id, 42u);
@@ -103,8 +110,8 @@ TEST(GatewayProtocol, NotificationRoundTrips) {
   note.aux = bytes_of({0x10, 0x20, 0x30, 0x40});
 
   const auto wire = encode_notification(note);
-  ASSERT_TRUE(is_notification(wire));
-  EXPECT_FALSE(is_subscribe_ack(wire));
+  ASSERT_TRUE(classified_as(wire, Family::kGateway, Direction::kNotification));
+  EXPECT_FALSE(classified_as(wire, Family::kGateway, Direction::kResponse));
   const auto back = parse_notification(wire);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->kind, note.kind);
@@ -171,10 +178,10 @@ TEST(GatewayProtocol, MalformedFramesAreRejected) {
   auto bad_op = wire;
   bad_op[3] = std::byte{9};
   EXPECT_FALSE(parse_subscribe_request(bad_op).has_value());
-  // Wrong magic is not even dispatched.
+  // Wrong magic is not even classified.
   auto bad_magic = wire;
   bad_magic[0] = std::byte{0x00};
-  EXPECT_FALSE(is_subscribe_request(bad_magic));
+  EXPECT_FALSE(classify(bad_magic).has_value());
   EXPECT_FALSE(parse_subscribe_request(bad_magic).has_value());
 
   StandingNotification note;
