@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Documentation drift gate. Validates, across every tracked markdown file:
+# Documentation drift gate. Validates, across every tracked markdown file
+# (every markdown file outside the ignored build and cache directories when
+# the tree is not a git checkout):
 #
 #   1. intra-repo markdown links — [text](relative/path) must resolve to a
 #      file or directory in the repo (anchors stripped; http(s) ignored);
@@ -24,14 +26,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+def markdown_files():
+    try:
+        listed = subprocess.run(
+            ["git", "ls-files", "-co", "--exclude-standard", "*.md"],
+            capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        return [Path(p) for p in listed]
+    except (OSError, subprocess.CalledProcessError):
+        # Not a git checkout (e.g. a tree unpacked from `git archive`): walk
+        # it, skipping the directories .gitignore keeps out of a checkout.
+        ignored = re.compile(r"build.*|\.bench_build|\.cache|\.git")
+        return [
+            p for p in Path(".").rglob("*.md")
+            if not any(ignored.fullmatch(d) for d in p.parts[:-1])
+        ]
+
+
 md_files = sorted(
-    Path(p)
-    for p in subprocess.run(
-        ["git", "ls-files", "-co", "--exclude-standard", "*.md"],
-        capture_output=True, text=True, check=True,
-    ).stdout.splitlines()
+    p for p in markdown_files()
     # Research-context notes, not product docs: may cite external artifacts.
-    if Path(p).name not in {"PAPERS.md", "SNIPPETS.md", "ISSUE.md"}
+    if p.name not in {"PAPERS.md", "SNIPPETS.md", "ISSUE.md"}
 )
 
 failures = 0
