@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 namespace dart::core {
 
@@ -16,7 +17,7 @@ constexpr bool table_matches_frame_kind() {
 static_assert(table_matches_frame_kind(),
               "kFrameKinds rows must sit where frame_kind() looks for them");
 
-// Ops of every family are numbered from 1 up to `last`.
+// Ops and standing kinds are numbered from 1 up to `last`.
 template <class Op>
 bool decode_op(Op& out, std::uint8_t op, Op last) {
   if (op == 0 || op > static_cast<std::uint8_t>(last)) return false;
@@ -35,23 +36,17 @@ std::span<const T> capped(const std::vector<T>& items) {
   return {items.data(), std::min<std::size_t>(items.size(), 0xFFFF)};
 }
 
-// Per-message codec: the frame kind, the header op byte, and the body. Body
-// readers store what they read only when `Keep`, so the same walk validates
-// a frame in place without allocating.
+// Per-message codec: the frame kind, the field that carries the header op
+// byte (numbered 1..kLastOp), and the body. Body readers store what they
+// read only when `Keep`, so the same walk validates a frame in place without
+// allocating.
 template <class Msg>
 struct Wire;
 
 template <>
 struct Wire<QueryResponse> {
-  static constexpr Family kFamily = Family::kQuery;
-  static constexpr Direction kDirection = Direction::kResponse;
-  static std::uint8_t op(const QueryResponse& m) {
-    return m.outcome == QueryOutcome::kFound ? 1 : 0;
-  }
-  static bool set_op(QueryResponse& m, std::uint8_t op) {
-    m.outcome = op != 0 ? QueryOutcome::kFound : QueryOutcome::kEmpty;
-    return true;
-  }
+  static constexpr FrameKind kKind =
+      frame_kind(Family::kQuery, Direction::kResponse);
   static void write(BufWriter& w, const QueryResponse& m) {
     w.u8(m.checksum_matches);
     w.u8(m.distinct_values);
@@ -73,14 +68,10 @@ struct Wire<QueryResponse> {
 
 template <>
 struct Wire<PrimitiveResponse> {
-  static constexpr Family kFamily = Family::kPrimitive;
-  static constexpr Direction kDirection = Direction::kResponse;
-  static std::uint8_t op(const PrimitiveResponse& m) {
-    return static_cast<std::uint8_t>(m.op);
-  }
-  static bool set_op(PrimitiveResponse& m, std::uint8_t op) {
-    return decode_op(m.op, op, PrimitiveOp::kReadPostcardGroup);
-  }
+  static constexpr FrameKind kKind =
+      frame_kind(Family::kPrimitive, Direction::kResponse);
+  static constexpr auto kOp = &PrimitiveResponse::op;
+  static constexpr auto kLastOp = PrimitiveOp::kReadPostcardGroup;
   static void write(BufWriter& w, const PrimitiveResponse& m) {
     switch (m.op) {
       case PrimitiveOp::kDrainRing: {
@@ -123,7 +114,8 @@ struct Wire<PrimitiveResponse> {
           const auto value = r.view(m.entry_value_bytes);
           if (!r.ok()) return false;
           if constexpr (Keep) {
-            m.entries.push_back(RingEntryWire{seq, {value.begin(), value.end()}});
+            m.entries.push_back(
+                RingEntryWire{seq, {value.begin(), value.end()}});
           }
         }
         return true;
@@ -153,14 +145,10 @@ struct Wire<PrimitiveResponse> {
 
 template <>
 struct Wire<SketchResponse> {
-  static constexpr Family kFamily = Family::kSketch;
-  static constexpr Direction kDirection = Direction::kResponse;
-  static std::uint8_t op(const SketchResponse& m) {
-    return static_cast<std::uint8_t>(m.op);
-  }
-  static bool set_op(SketchResponse& m, std::uint8_t op) {
-    return decode_op(m.op, op, SketchOp::kTopK);
-  }
+  static constexpr FrameKind kKind =
+      frame_kind(Family::kSketch, Direction::kResponse);
+  static constexpr auto kOp = &SketchResponse::op;
+  static constexpr auto kLastOp = SketchOp::kTopK;
   static void write(BufWriter& w, const SketchResponse& m) {
     if (m.op == SketchOp::kEstimate) {
       w.be64(m.estimate);
@@ -188,7 +176,8 @@ struct Wire<SketchResponse> {
       const auto key = r.view(r.be16());
       if (!r.ok() || key.empty()) return false;
       if constexpr (Keep) {
-        m.hitters.push_back(HeavyHitterWire{estimate, {key.begin(), key.end()}});
+        m.hitters.push_back(
+            HeavyHitterWire{estimate, {key.begin(), key.end()}});
       }
     }
     return true;
@@ -197,14 +186,10 @@ struct Wire<SketchResponse> {
 
 template <>
 struct Wire<SubscribeAck> {
-  static constexpr Family kFamily = Family::kGateway;
-  static constexpr Direction kDirection = Direction::kResponse;
-  static std::uint8_t op(const SubscribeAck& m) {
-    return static_cast<std::uint8_t>(m.op);
-  }
-  static bool set_op(SubscribeAck& m, std::uint8_t op) {
-    return decode_op(m.op, op, SubscribeOp::kUnsubscribe);
-  }
+  static constexpr FrameKind kKind =
+      frame_kind(Family::kGateway, Direction::kResponse);
+  static constexpr auto kOp = &SubscribeAck::op;
+  static constexpr auto kLastOp = SubscribeOp::kUnsubscribe;
   static void write(BufWriter& w, const SubscribeAck& m) {
     w.be64(m.subscription_id);
   }
@@ -217,14 +202,10 @@ struct Wire<SubscribeAck> {
 
 template <>
 struct Wire<SubscribeRequest> {
-  static constexpr Family kFamily = Family::kGateway;
-  static constexpr Direction kDirection = Direction::kRequest;
-  static std::uint8_t op(const SubscribeRequest& m) {
-    return static_cast<std::uint8_t>(m.op);
-  }
-  static bool set_op(SubscribeRequest& m, std::uint8_t op) {
-    return decode_op(m.op, op, SubscribeOp::kUnsubscribe);
-  }
+  static constexpr FrameKind kKind =
+      frame_kind(Family::kGateway, Direction::kRequest);
+  static constexpr auto kOp = &SubscribeRequest::op;
+  static constexpr auto kLastOp = SubscribeOp::kUnsubscribe;
   static void write(BufWriter& w, const SubscribeRequest& m) {
     w.u8(static_cast<std::uint8_t>(m.kind));
     w.be32(m.collector);
@@ -251,14 +232,10 @@ struct Wire<SubscribeRequest> {
 // The notification's op byte is its standing kind; no id or epoch follows.
 template <>
 struct Wire<StandingNotification> {
-  static constexpr Family kFamily = Family::kGateway;
-  static constexpr Direction kDirection = Direction::kNotification;
-  static std::uint8_t op(const StandingNotification& m) {
-    return static_cast<std::uint8_t>(m.kind);
-  }
-  static bool set_op(StandingNotification& m, std::uint8_t op) {
-    return decode_op(m.kind, op, StandingKind::kTopKDelta);
-  }
+  static constexpr FrameKind kKind =
+      frame_kind(Family::kGateway, Direction::kNotification);
+  static constexpr auto kOp = &StandingNotification::kind;
+  static constexpr auto kLastOp = StandingKind::kTopKDelta;
   static void write(BufWriter& w, const StandingNotification& m) {
     w.be64(m.subscription_id);
     w.be64(m.seq);
@@ -286,23 +263,43 @@ struct Wire<StandingNotification> {
   }
 };
 
+// The header op byte: the family op, or a query-v2 answer's outcome.
+template <class Msg>
+std::uint8_t op_of(const Msg& m) {
+  if constexpr (std::is_same_v<Msg, QueryResponse>) {
+    return m.outcome == QueryOutcome::kFound ? 1 : 0;
+  } else {
+    return static_cast<std::uint8_t>(m.*Wire<Msg>::kOp);
+  }
+}
+
+template <class Msg>
+bool set_op(Msg& m, std::uint8_t op) {
+  if constexpr (std::is_same_v<Msg, QueryResponse>) {
+    m.outcome = op != 0 ? QueryOutcome::kFound : QueryOutcome::kEmpty;
+    return true;
+  } else {
+    return decode_op(m.*Wire<Msg>::kOp, op, Wire<Msg>::kLastOp);
+  }
+}
+
 template <class Msg>
 std::vector<std::byte> encode_as(const Msg& m) {
   using W = Wire<Msg>;
   FrameHeader header;
-  header.op = W::op(m);
-  if constexpr (W::kDirection != Direction::kNotification) {
+  header.op = op_of(m);
+  if constexpr (W::kKind.direction != Direction::kNotification) {
     header.request_id = m.request_id;
     header.epoch = m.epoch;
   }
-  if constexpr (W::kDirection == Direction::kResponse) {
+  if constexpr (W::kKind.direction == Direction::kResponse) {
     header.flags = m.flags;
     header.stale_epochs = m.stale_epochs;
   }
   std::vector<std::byte> out;
   out.reserve(64);  // one allocation for all but long drains and top-k lists
   BufWriter w(out);
-  write_header(w, frame_kind(W::kFamily, W::kDirection), header);
+  write_header(w, W::kKind, header);
   W::write(w, m);
   return out;
 }
@@ -311,14 +308,14 @@ template <class Msg, bool Keep = true>
 std::optional<Msg> parse_as(std::span<const std::byte> payload) {
   using W = Wire<Msg>;
   BufReader r(payload);
-  const auto header = read_header(r, frame_kind(W::kFamily, W::kDirection));
+  const auto header = read_header(r, W::kKind);
   Msg m;
-  if (!header || !W::set_op(m, header->op)) return std::nullopt;
-  if constexpr (W::kDirection != Direction::kNotification) {
+  if (!header || !set_op(m, header->op)) return std::nullopt;
+  if constexpr (W::kKind.direction != Direction::kNotification) {
     m.request_id = header->request_id;
     m.epoch = header->epoch;
   }
-  if constexpr (W::kDirection == Direction::kResponse) {
+  if constexpr (W::kKind.direction == Direction::kResponse) {
     m.flags = header->flags;
     m.stale_epochs = header->stale_epochs;
   }
@@ -365,7 +362,8 @@ std::optional<FrameKind> classify(std::span<const std::byte> payload) noexcept {
   return std::nullopt;
 }
 
-void write_header(BufWriter& w, const FrameKind& kind, const FrameHeader& header) {
+void write_header(BufWriter& w, const FrameKind& kind,
+                  const FrameHeader& header) {
   w.be16(kind.magic);
   w.u8(kind.version);
   w.u8(header.op);
@@ -400,7 +398,8 @@ std::uint64_t frame_request_id(std::span<const std::byte> frame) noexcept {
   return net_to_host64(be);
 }
 
-void set_frame_request_id(std::span<std::byte> frame, std::uint64_t id) noexcept {
+void set_frame_request_id(std::span<std::byte> frame,
+                          std::uint64_t id) noexcept {
   if (frame.size() < kFrameIdOffset + 8) return;
   const std::uint64_t be = host_to_net64(id);
   std::memcpy(frame.data() + kFrameIdOffset, &be, sizeof(be));
@@ -414,13 +413,15 @@ void set_frame_id_epoch(std::span<std::byte> frame, std::uint64_t id,
   std::memcpy(frame.data() + kFrameEpochOffset, &be, sizeof(be));
 }
 
-void add_frame_staleness(std::span<std::byte> frame, std::uint64_t age) noexcept {
+void add_frame_staleness(std::span<std::byte> frame,
+                         std::uint64_t age) noexcept {
   if (age == 0 || frame.size() < kResponseHeaderBytes) return;
   frame[kFrameFlagsOffset] |= std::byte{kResponseDegraded};
   std::uint16_t be = 0;
   std::memcpy(&be, frame.data() + kFrameStaleOffset, sizeof(be));
-  const std::uint64_t sum = net_to_host16(be) + std::min<std::uint64_t>(age, 0xFFFF);
-  be = host_to_net16(static_cast<std::uint16_t>(std::min<std::uint64_t>(sum, 0xFFFF)));
+  const std::uint64_t stale = std::min<std::uint64_t>(
+      net_to_host16(be) + std::min<std::uint64_t>(age, 0xFFFF), 0xFFFF);
+  be = host_to_net16(static_cast<std::uint16_t>(stale));
   std::memcpy(frame.data() + kFrameStaleOffset, &be, sizeof(be));
 }
 
@@ -478,7 +479,8 @@ std::optional<ReadRequest> parse_read(std::span<const std::byte> payload) {
   return request;
 }
 
-std::vector<std::byte> encode_empty_answer(const ReadOp& row, std::uint8_t flags) {
+std::vector<std::byte> encode_empty_answer(const ReadOp& row,
+                                           std::uint8_t flags) {
   std::vector<std::byte> out;
   out.reserve(kResponseHeaderBytes + row.empty_body);
   BufWriter w(out);
@@ -551,7 +553,8 @@ std::optional<QueryResponse> parse_query_response(
   return parse_as<QueryResponse>(payload);
 }
 
-std::vector<std::byte> encode_primitive_response(const PrimitiveResponse& resp) {
+std::vector<std::byte> encode_primitive_response(
+    const PrimitiveResponse& resp) {
   return encode_as(resp);
 }
 std::optional<PrimitiveResponse> parse_primitive_response(

@@ -64,7 +64,7 @@ inline constexpr std::uint8_t kResponseGatewayTimeout = 0x08;
 // parameters, e.g. top-k with k == 0 or a keyed kind with an empty key).
 inline constexpr std::uint8_t kResponseSubscribeRejected = 0x10;
 
-// --- the family table ---------------------------------------------------------
+// --- the family table --------------------------------------------------------
 
 enum class Family : std::uint8_t {
   kQuery = 1,      // query-v2: KV reads
@@ -73,7 +73,11 @@ enum class Family : std::uint8_t {
   kGateway = 4,    // gateway-v1: standing-query subscribe, ack, push
 };
 
-enum class Direction : std::uint8_t { kRequest = 0, kResponse = 1, kNotification = 2 };
+enum class Direction : std::uint8_t {
+  kRequest = 0,
+  kResponse = 1,
+  kNotification = 2,
+};
 
 struct FrameKind {
   std::uint16_t magic = 0;
@@ -84,16 +88,22 @@ struct FrameKind {
 
 // Every magic on UDP/4800, two rows per family (request, response) in
 // Family order, then the gateway's notification push.
+// Magics spell "DQ" "DR" "Dp" "Dr" "DS" "DT" "DU" "DV" "DW" in ASCII; the
+// gateway's request, response and notification are the subscribe request,
+// the subscribe ack and the standing-query push.
 inline constexpr std::array<FrameKind, 9> kFrameKinds{{
-    {0x4451, Family::kQuery, Direction::kRequest, kQueryProtocolVersion},       // "DQ"
-    {0x4452, Family::kQuery, Direction::kResponse, kQueryProtocolVersion},      // "DR"
-    {0x4470, Family::kPrimitive, Direction::kRequest, kPrimitiveProtocolVersion},  // "Dp"
-    {0x4472, Family::kPrimitive, Direction::kResponse, kPrimitiveProtocolVersion}, // "Dr"
-    {0x4453, Family::kSketch, Direction::kRequest, kSketchProtocolVersion},     // "DS"
-    {0x4454, Family::kSketch, Direction::kResponse, kSketchProtocolVersion},    // "DT"
-    {0x4455, Family::kGateway, Direction::kRequest, kGatewayProtocolVersion},   // "DU" subscribe
-    {0x4456, Family::kGateway, Direction::kResponse, kGatewayProtocolVersion},  // "DV" ack
-    {0x4457, Family::kGateway, Direction::kNotification, kGatewayProtocolVersion},  // "DW" push
+    {0x4451, Family::kQuery, Direction::kRequest, kQueryProtocolVersion},
+    {0x4452, Family::kQuery, Direction::kResponse, kQueryProtocolVersion},
+    {0x4470, Family::kPrimitive, Direction::kRequest,
+     kPrimitiveProtocolVersion},
+    {0x4472, Family::kPrimitive, Direction::kResponse,
+     kPrimitiveProtocolVersion},
+    {0x4453, Family::kSketch, Direction::kRequest, kSketchProtocolVersion},
+    {0x4454, Family::kSketch, Direction::kResponse, kSketchProtocolVersion},
+    {0x4455, Family::kGateway, Direction::kRequest, kGatewayProtocolVersion},
+    {0x4456, Family::kGateway, Direction::kResponse, kGatewayProtocolVersion},
+    {0x4457, Family::kGateway, Direction::kNotification,
+     kGatewayProtocolVersion},
 }};
 
 // The row of (family, direction). Only the gateway family has notifications.
@@ -108,7 +118,7 @@ inline constexpr std::array<FrameKind, 9> kFrameKinds{{
 [[nodiscard]] std::optional<FrameKind> classify(
     std::span<const std::byte> payload) noexcept;
 
-// --- the shared header --------------------------------------------------------
+// --- the shared header -------------------------------------------------------
 
 // One decoded header. request_id and epoch are absent from notifications;
 // flags and stale_epochs are response-only.
@@ -131,7 +141,8 @@ inline constexpr std::size_t kResponseHeaderBytes = 19;
 
 // Writes the header `kind` prescribes: magic, version and op, then id and
 // epoch unless it is a notification, then flags and stale for a response.
-void write_header(BufWriter& w, const FrameKind& kind, const FrameHeader& header);
+void write_header(BufWriter& w, const FrameKind& kind,
+                  const FrameHeader& header);
 // Reads it back; nullopt unless magic and version match and it is complete.
 [[nodiscard]] std::optional<FrameHeader> read_header(BufReader& r,
                                                      const FrameKind& kind);
@@ -140,13 +151,15 @@ void write_header(BufWriter& w, const FrameKind& kind, const FrameHeader& header
 // the field read as 0 and are left unchanged.
 [[nodiscard]] std::uint64_t frame_request_id(
     std::span<const std::byte> frame) noexcept;
-void set_frame_request_id(std::span<std::byte> frame, std::uint64_t id) noexcept;
+void set_frame_request_id(std::span<std::byte> frame,
+                          std::uint64_t id) noexcept;
 void set_frame_id_epoch(std::span<std::byte> frame, std::uint64_t id,
                         std::uint32_t epoch) noexcept;
 // A response served `age` epochs after it was fetched is that much staler:
 // sets kResponseDegraded and adds `age` to stale_epochs, saturating at
 // 0xFFFF. Age 0 changes nothing.
-void add_frame_staleness(std::span<std::byte> frame, std::uint64_t age) noexcept;
+void add_frame_staleness(std::span<std::byte> frame,
+                         std::uint64_t age) noexcept;
 
 // --- read requests: query-v2, primitive-v1, sketch-v1 -----------------------
 //
@@ -220,7 +233,7 @@ struct ReadRequest {
 [[nodiscard]] std::vector<std::byte> encode_empty_answer(const ReadOp& row,
                                                          std::uint8_t flags);
 
-// --- query-v2 -----------------------------------------------------------------
+// --- query-v2 ----------------------------------------------------------------
 //
 // Response body: [checksum matches u8][distinct values u8][value len u16]
 // [value bytes]; a found answer needs a non-empty value.
@@ -260,7 +273,7 @@ struct QueryResponse {
 [[nodiscard]] QueryResponse make_response(std::uint64_t request_id,
                                           const QueryResult& result);
 
-// --- primitive-v1 (primitives.hpp) --------------------------------------------
+// --- primitive-v1 (primitives.hpp) -------------------------------------------
 //
 // Response body, by op:
 //   kDrainRing:         [missed u64][next seq u64][value bytes u16]
@@ -324,7 +337,7 @@ struct PrimitiveResponse {
 [[nodiscard]] std::optional<PrimitiveResponse> parse_primitive_response(
     std::span<const std::byte> payload);
 
-// --- sketch-v1 (store_backend.hpp) --------------------------------------------
+// --- sketch-v1 (store_backend.hpp) -------------------------------------------
 //
 // Read path of sketch-backed collectors. kEstimate returns the count-min
 // estimate for one key (and feeds the collector's heavy-hitter tracker as a
@@ -379,7 +392,7 @@ struct SketchResponse {
 [[nodiscard]] std::optional<SketchResponse> parse_sketch_response(
     std::span<const std::byte> payload);
 
-// --- gateway-v1: standing queries (src/query/gateway.hpp) ---------------------
+// --- gateway-v1: standing queries (src/query/gateway.hpp) --------------------
 //
 // Sonata-style query-driven subscriptions: instead of polling, an operator
 // registers a predicate with the query gateway once; the gateway evaluates
@@ -467,10 +480,10 @@ struct StandingNotification {
 [[nodiscard]] std::optional<StandingNotification> parse_notification(
     std::span<const std::byte> payload);
 
-// --- responses of any family ----------------------------------------------------
+// --- responses of any family -------------------------------------------------
 
-using Answer =
-    std::variant<QueryResponse, PrimitiveResponse, SketchResponse, SubscribeAck>;
+using Answer = std::variant<QueryResponse, PrimitiveResponse, SketchResponse,
+                            SubscribeAck>;
 
 // A response of any family, parsed by its family codec; nullopt for
 // anything else.
@@ -480,7 +493,7 @@ using Answer =
 // allocates nothing.
 [[nodiscard]] bool validate_response(std::span<const std::byte> payload);
 
-// --- one builder per operator op ------------------------------------------------
+// --- one builder per operator op ---------------------------------------------
 //
 // OperatorClient and GatewaySession build their requests here; the caller
 // stamps the request id and epoch. Keys are viewed, not copied.
@@ -500,7 +513,8 @@ namespace build {
 }
 [[nodiscard]] inline ReadRequest read_counter(std::span<const std::byte> key) {
   return {.family = Family::kPrimitive,
-          .op = static_cast<std::uint8_t>(PrimitiveOp::kReadCounter), .key = key};
+          .op = static_cast<std::uint8_t>(PrimitiveOp::kReadCounter),
+          .key = key};
 }
 [[nodiscard]] inline ReadRequest read_postcard_group(
     std::span<const std::byte> flow_key) {
@@ -508,7 +522,8 @@ namespace build {
           .op = static_cast<std::uint8_t>(PrimitiveOp::kReadPostcardGroup),
           .key = flow_key};
 }
-[[nodiscard]] inline ReadRequest sketch_estimate(std::span<const std::byte> key) {
+[[nodiscard]] inline ReadRequest sketch_estimate(
+    std::span<const std::byte> key) {
   return {.family = Family::kSketch,
           .op = static_cast<std::uint8_t>(SketchOp::kEstimate), .key = key};
 }
@@ -532,7 +547,8 @@ namespace build {
     std::uint32_t collector, std::uint16_t k) {
   return {.kind = StandingKind::kTopKDelta, .collector = collector, .k = k};
 }
-[[nodiscard]] inline SubscribeRequest unsubscribe(std::uint64_t subscription_id) {
+[[nodiscard]] inline SubscribeRequest unsubscribe(
+    std::uint64_t subscription_id) {
   return {.op = SubscribeOp::kUnsubscribe, .subscription_id = subscription_id};
 }
 

@@ -66,7 +66,8 @@ void QueryServiceNode::receive(net::Packet packet, std::uint64_t /*now_ns*/) {
   sim_->send(self_, *dest, net::Packet(std::move(reply)));
 }
 
-std::vector<std::byte> QueryServiceNode::serve_query(const ReadRequest& request) {
+std::vector<std::byte> QueryServiceNode::serve_query(
+    const ReadRequest& request) {
   // The collector CPU's actual work: N slot reads + checksum filter + vote.
   // Sampled latency: time one in every `resolve_sample_every_` resolves.
   const bool sample =
@@ -301,14 +302,16 @@ std::uint64_t OperatorClient::send_read(ReadRequest request) {
                                       ? route_of(request.key)
                                       : request.collector;
   if (collector >= service_ips_.size()) return 0;
-  return send(service_ips_[collector], request.request_id, encode_read(request));
+  return send(service_ips_[collector], request.request_id,
+              encode_read(request));
 }
 
 std::uint64_t OperatorClient::send_subscribe(net::Ipv4Addr gateway_ip,
                                              SubscribeRequest request) {
   request.request_id = next_id_++;
   request.epoch = epoch_;
-  return send(gateway_ip, request.request_id, encode_subscribe_request(request));
+  return send(gateway_ip, request.request_id,
+              encode_subscribe_request(request));
 }
 
 std::uint64_t OperatorClient::send(net::Ipv4Addr destination,
@@ -394,7 +397,9 @@ void OperatorClient::receive(net::Packet packet, std::uint64_t /*now_ns*/) {
   if (kind && kind->direction == Direction::kNotification) {
     // Unsolicited by design — this is the push half of a standing query, so
     // there is no outstanding id to match. Address checks above still apply.
-    if (auto note = parse_notification(frame->payload)) store_.push(*std::move(note));
+    if (auto note = parse_notification(frame->payload)) {
+      store_.push(*std::move(note));
+    }
     return;
   }
   auto answer = parse_answer(frame->payload);

@@ -227,7 +227,8 @@ class QueryServiceNode final : public net::Node {
   // tracker — tracker maintenance lives entirely on this (query) path so
   // ingest stays zero-CPU.
   [[nodiscard]] std::vector<std::byte> serve_query(const ReadRequest& request);
-  [[nodiscard]] std::vector<std::byte> serve_primitive(const ReadRequest& request);
+  [[nodiscard]] std::vector<std::byte> serve_primitive(
+      const ReadRequest& request);
   [[nodiscard]] std::vector<std::byte> serve_sketch(const ReadRequest& request);
 
   Collector* collector_;
@@ -299,7 +300,8 @@ class OperatorClient final : public net::Node {
   }
 
   // Answer for a completed request, if it has arrived (removes it).
-  [[nodiscard]] std::optional<QueryResponse> take_response(std::uint64_t request_id) {
+  [[nodiscard]] std::optional<QueryResponse> take_response(
+      std::uint64_t request_id) {
     return store_.take<QueryResponse>(request_id);
   }
   [[nodiscard]] std::optional<PrimitiveResponse> take_primitive_response(
@@ -332,7 +334,8 @@ class OperatorClient final : public net::Node {
   std::uint64_t subscribe_topk_delta(net::Ipv4Addr gateway_ip,
                                      std::uint32_t collector_id,
                                      std::uint16_t k) {
-    return send_subscribe(gateway_ip, build::subscribe_topk_delta(collector_id, k));
+    return send_subscribe(gateway_ip,
+                          build::subscribe_topk_delta(collector_id, k));
   }
   std::uint64_t unsubscribe(net::Ipv4Addr gateway_ip,
                             std::uint64_t subscription_id) {
@@ -436,7 +439,8 @@ class OperatorClient final : public net::Node {
   // Stamp a fresh id and the epoch, route, send and track; the id, or 0 if
   // the request was not sent.
   std::uint64_t send_read(ReadRequest request);
-  std::uint64_t send_subscribe(net::Ipv4Addr gateway_ip, SubscribeRequest request);
+  std::uint64_t send_subscribe(net::Ipv4Addr gateway_ip,
+                               SubscribeRequest request);
   std::uint64_t send(net::Ipv4Addr destination, std::uint64_t wire_id,
                      std::vector<std::byte> payload);
   [[nodiscard]] bool send_to_ip(net::Ipv4Addr ip,

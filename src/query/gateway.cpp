@@ -218,7 +218,6 @@ bool QueryGateway::submit(const core::ReadRequest& read,
   rec.retries_left = config_.max_retries;
   rec.waiters.push_back(origin);
   rec.first_enqueued_ns = sim_ != nullptr ? sim_->now_ns() : 0;
-  rec.cacheable = op->cacheable;
   rec.cache_key = ck;
   rec.newest_wire_id = logical;
   rec.wire_ids.push_back(logical);
@@ -273,7 +272,7 @@ void QueryGateway::on_deadline(std::uint64_t logical_id,
   // Standing reads are simply skipped — the predicate re-evaluates next tick.
   PendingUpstream dead = std::move(rec);
   for (const auto id : dead.wire_ids) upstream_alias_.erase(id);
-  if (dead.cacheable) coalesce_.erase(dead.cache_key);
+  if (dead.op->cacheable) coalesce_.erase(dead.cache_key);
   upstream_.erase(it);
   ++upstream_timeouts_;
   const double waited_ns =
@@ -393,14 +392,14 @@ void QueryGateway::handle_upstream_response(core::Family family,
   }
   PendingUpstream rec = std::move(it->second);
   for (const auto id : rec.wire_ids) upstream_alias_.erase(id);
-  if (rec.cacheable) coalesce_.erase(rec.cache_key);
+  if (rec.op->cacheable) coalesce_.erase(rec.cache_key);
   upstream_.erase(it);
 
   record_latency(family,
                  static_cast<double>(now_ns - rec.first_enqueued_ns));
   // Only clean answers are worth replaying: degraded / unavailable /
   // timed-out responses must be re-asked, not amplified by the cache.
-  if (rec.cacheable && payload[core::kFrameFlagsOffset] == std::byte{0}) {
+  if (rec.op->cacheable && payload[core::kFrameFlagsOffset] == std::byte{0}) {
     cache_.put(rec.cache_key,
                std::vector<std::byte>(payload.begin(), payload.end()), epoch_);
   }
@@ -580,7 +579,8 @@ void QueryGateway::bind_metrics(obs::MetricRegistry& registry,
                       "subscribe requests refused (bad predicate)");
   registry.counter_fn(prefix + "_gateway_malformed_total",
                       [this] { return malformed_; },
-                      "unparsable frames, unknown magics or broken upstream answers");
+                      "unparsable frames or unknown magics, including "
+                      "upstream answers that fail to parse");
   registry.counter_fn(prefix + "_gateway_not_for_me_total",
                       [this] { return not_for_me_; },
                       "well-formed frames addressed to another node");

@@ -82,8 +82,9 @@ class QueryGateway;
 // QueryGateway::open_session and owned by the gateway.
 class GatewaySession {
  public:
-  std::uint64_t query(std::span<const std::byte> key,
-                      core::ReturnPolicy policy = core::ReturnPolicy::kPlurality) {
+  std::uint64_t query(
+      std::span<const std::byte> key,
+      core::ReturnPolicy policy = core::ReturnPolicy::kPlurality) {
     return submit(core::build::query(key, policy));
   }
   std::uint64_t drain_ring(std::uint32_t collector_id,
@@ -295,7 +296,6 @@ class QueryGateway final : public net::Node {
     std::vector<std::uint64_t> wire_ids;
     std::vector<Origin> waiters;
     std::uint64_t first_enqueued_ns = 0;
-    bool cacheable = false;
     CacheKey cache_key;
   };
 
@@ -352,7 +352,8 @@ class QueryGateway final : public net::Node {
                          core::StandingNotification note);
 
   // Standing evaluation (driven by on_epoch via internal upstream reads).
-  void evaluate_standing(std::uint64_t sub_id, std::span<const std::byte> payload);
+  void evaluate_standing(std::uint64_t sub_id,
+                         std::span<const std::byte> payload);
 
   [[nodiscard]] std::uint32_t apply_retarget(std::uint32_t collector) const;
   [[nodiscard]] std::uint32_t route_key(std::span<const std::byte> key) const;

@@ -475,7 +475,12 @@ TEST(GoldenTrace, GatewayWirePayloadsParseBack) {
   EXPECT_EQ(estimate->request_id, 7u);
 }
 
-// --- one framing rule for every query-plane frame -----------------------------
+// --- one framing rule for every query-plane frame ---------------------------
+
+template <auto Parse>
+bool parses(std::span<const std::byte> frame) {
+  return Parse(frame).has_value();
+}
 
 // Each wire-family parser, by the (family, direction) the classifier files a
 // frame under.
@@ -485,25 +490,24 @@ struct WireParser {
   bool (*parses)(std::span<const std::byte>);
 };
 
+using core::Direction;
+using core::Family;
 constexpr WireParser kWireParsers[] = {
-    {core::Family::kQuery, core::Direction::kRequest,
-     [](std::span<const std::byte> f) { return core::parse_query_request(f).has_value(); }},
-    {core::Family::kQuery, core::Direction::kResponse,
-     [](std::span<const std::byte> f) { return core::parse_query_response(f).has_value(); }},
-    {core::Family::kPrimitive, core::Direction::kRequest,
-     [](std::span<const std::byte> f) { return core::parse_primitive_request(f).has_value(); }},
-    {core::Family::kPrimitive, core::Direction::kResponse,
-     [](std::span<const std::byte> f) { return core::parse_primitive_response(f).has_value(); }},
-    {core::Family::kSketch, core::Direction::kRequest,
-     [](std::span<const std::byte> f) { return core::parse_sketch_request(f).has_value(); }},
-    {core::Family::kSketch, core::Direction::kResponse,
-     [](std::span<const std::byte> f) { return core::parse_sketch_response(f).has_value(); }},
-    {core::Family::kGateway, core::Direction::kRequest,
-     [](std::span<const std::byte> f) { return core::parse_subscribe_request(f).has_value(); }},
-    {core::Family::kGateway, core::Direction::kResponse,
-     [](std::span<const std::byte> f) { return core::parse_subscribe_ack(f).has_value(); }},
-    {core::Family::kGateway, core::Direction::kNotification,
-     [](std::span<const std::byte> f) { return core::parse_notification(f).has_value(); }},
+    {Family::kQuery, Direction::kRequest, &parses<core::parse_query_request>},
+    {Family::kQuery, Direction::kResponse, &parses<core::parse_query_response>},
+    {Family::kPrimitive, Direction::kRequest,
+     &parses<core::parse_primitive_request>},
+    {Family::kPrimitive, Direction::kResponse,
+     &parses<core::parse_primitive_response>},
+    {Family::kSketch, Direction::kRequest, &parses<core::parse_sketch_request>},
+    {Family::kSketch, Direction::kResponse,
+     &parses<core::parse_sketch_response>},
+    {Family::kGateway, Direction::kRequest,
+     &parses<core::parse_subscribe_request>},
+    {Family::kGateway, Direction::kResponse,
+     &parses<core::parse_subscribe_ack>},
+    {Family::kGateway, Direction::kNotification,
+     &parses<core::parse_notification>},
 };
 
 // Every artifact of the four query-plane wire goldens parses with its

@@ -115,6 +115,43 @@ TEST(QueryProtocol, EpochAndDegradationRoundTrip) {
   EXPECT_FALSE(parse_query_response(encode_query_response(resp))->degraded());
 }
 
+// The zeroed answer the gateway synthesizes from a kReadOps row is exactly
+// the typed codec's encoding of a default answer to that op.
+TEST(QueryProtocol, EmptyAnswerOfEveryReadOpMatchesItsFamilyCodec) {
+  const std::uint8_t flags = kResponseDegraded | kResponseGatewayTimeout;
+  for (const ReadOp& row : kReadOps) {
+    std::vector<std::byte> typed;
+    switch (row.family) {
+      case Family::kQuery: {
+        QueryResponse resp;
+        resp.flags = flags;
+        typed = encode_query_response(resp);
+        break;
+      }
+      case Family::kPrimitive: {
+        PrimitiveResponse resp;
+        resp.op = static_cast<PrimitiveOp>(row.op);
+        resp.flags = flags;
+        typed = encode_primitive_response(resp);
+        break;
+      }
+      case Family::kSketch: {
+        SketchResponse resp;
+        resp.op = static_cast<SketchOp>(row.op);
+        resp.flags = flags;
+        typed = encode_sketch_response(resp);
+        break;
+      }
+      case Family::kGateway:
+        FAIL() << "the gateway family has no read ops";
+    }
+    EXPECT_EQ(encode_empty_answer(row, flags), typed)
+        << "family " << static_cast<int>(row.family) << " op "
+        << static_cast<int>(row.op);
+    EXPECT_TRUE(validate_response(typed));
+  }
+}
+
 TEST(QueryProtocol, MakeResponseClampsCounts) {
   QueryResult result;
   result.outcome = QueryOutcome::kFound;

@@ -57,7 +57,8 @@ class RawClient final : public net::Node {
 
   void receive(net::Packet packet, std::uint64_t /*now_ns*/) override {
     const auto frame = net::parse_udp_frame(packet.bytes());
-    if (frame) received.emplace_back(frame->payload.begin(), frame->payload.end());
+    if (!frame) return;
+    received.emplace_back(frame->payload.begin(), frame->payload.end());
   }
 
   std::vector<std::vector<std::byte>> received;
