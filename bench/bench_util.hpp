@@ -7,9 +7,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#include "common/hash.hpp"
 
 namespace dart::bench {
 
@@ -56,7 +60,9 @@ inline void banner(const char* experiment, const char* paper_claim) {
 // Machine-readable benchmark output: collects config and result key/value
 // pairs and writes them as BENCH_<name>.json so successive PRs can diff
 // perf numbers without scraping console tables. The schema is deliberately
-// flat: {"name": ..., "config": {...}, "results": {...}}.
+// flat: {"name": ..., "host": {...}, "config": {...}, "results": {...}}.
+// The host block says what produced the numbers: CPU model, hardware
+// threads, the SIMD backend dispatch chose, and the CMake build type.
 class BenchJson {
  public:
   explicit BenchJson(std::string name) : name_(std::move(name)) {}
@@ -76,7 +82,14 @@ class BenchJson {
     const std::string path = dir + "/BENCH_" + name_ + ".json";
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) return false;
-    std::fprintf(f, "{\n  \"name\": \"%s\",\n  \"config\": {", name_.c_str());
+    std::fprintf(f, "{\n  \"name\": \"%s\",\n", name_.c_str());
+    std::fprintf(f,
+                 "  \"host\": {\n    \"cpu\": \"%s\",\n"
+                 "    \"hardware_threads\": %u,\n"
+                 "    \"simd_backend\": \"%s\",\n"
+                 "    \"build_type\": \"%s\"\n  },\n  \"config\": {",
+                 cpu_model().c_str(), std::thread::hardware_concurrency(),
+                 std::string(simd_backend_name()).c_str(), DART_BUILD_TYPE);
     bool first = true;
     for (const auto& [k, v] : config_str_) {
       std::fprintf(f, "%s\n    \"%s\": \"%s\"", first ? "" : ",", k.c_str(),
@@ -100,6 +113,20 @@ class BenchJson {
   }
 
  private:
+  // The first "model name" of /proc/cpuinfo; "unknown" where there is none.
+  static std::string cpu_model() {
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind("model name", 0) != 0) continue;
+      const auto colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        return line.substr(colon + 2);
+      }
+    }
+    return "unknown";
+  }
+
   std::string name_;
   std::vector<std::pair<std::string, std::string>> config_str_;
   std::vector<std::pair<std::string, double>> config_num_;

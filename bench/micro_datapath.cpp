@@ -474,7 +474,6 @@ int main(int argc, char** argv) {
   json.config("n_addresses", static_cast<double>(cfg.n_addresses));
   json.config("checksum_bits", static_cast<double>(cfg.checksum_bits));
   json.config("value_bytes", static_cast<double>(cfg.value_bytes));
-  json.config("simd_backend", std::string(dart::simd_backend_name()));
   // Legend for numeric benchmark-name suffixes (google-benchmark encodes
   // Arg(v) as "<name>/<v>", which becomes "<name>_<v>" in the result keys):
   json.config("BM_RnicIngest_0", "icrc=off");

@@ -132,10 +132,26 @@ std::uint32_t crc32_update_clmul(std::uint32_t state, const std::byte* p,
     n -= 16;
   }
 
-  // Barrett-reduce the accumulator to the running state, then the sub-16-byte
-  // tail (0–15 bytes) finishes through the table kernel.
-  const std::uint32_t s = reduce128(x, k16);
-  return crc32_update_scalar(s, p, n);
+  // The 1–15 byte tail uses the overlapping final block zlib and Linux use:
+  // the accumulator X followed by n tail bytes is the 32-byte message
+  // [0^(16-n) ‖ X[0..n)] [X[n..16) ‖ tail] (leading zeros leave a CRC
+  // unchanged), so one more fold replaces n table steps. The input was at
+  // least 16 bytes, so the load ending at the tail stays inside it.
+  if (n != 0) {
+    // PSHUFB control, byte j = n+j-16: negative (selects zero) for j < 16-n,
+    // else the index of X's byte j-(16-n); with bit 7 flipped it moves byte
+    // j+n to each j < 16-n and zeroes the rest.
+    const __m128i shuf = _mm_add_epi8(
+        _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        _mm_set1_epi8(static_cast<char>(n - 16)));
+    const __m128i head = _mm_shuffle_epi8(x, shuf);
+    const __m128i rest = _mm_shuffle_epi8(
+        x, _mm_xor_si128(shuf, _mm_set1_epi8(static_cast<char>(0x80))));
+    const __m128i last =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + n - 16));
+    x = _mm_xor_si128(fold128(head, k16), _mm_blendv_epi8(last, rest, shuf));
+  }
+  return reduce128(x, k16);
 }
 
 namespace {

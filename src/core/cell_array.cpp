@@ -16,12 +16,6 @@ CellArray::CellArray(CellGeometry geometry)
   assert(geometry_.rows() > 0 && geometry_.cols > 0);
 }
 
-CellArray::CellArray(CellGeometry geometry, std::span<std::byte> memory)
-    : geometry_(std::move(geometry)), backing_(memory) {
-  assert(geometry_.rows() > 0 && geometry_.cols > 0);
-  assert(memory.size() == geometry_.memory_bytes());
-}
-
 std::uint64_t CellArray::fetch_add(std::span<const std::byte> key,
                                    std::uint64_t delta) {
   std::uint64_t prior = UINT64_MAX;

@@ -58,11 +58,8 @@ struct CellGeometry {
 
 class CellArray {
  public:
-  // Self-owning: allocates zeroed cells.
+  // Allocates zeroed cells; a collector registers them as an MR.
   explicit CellArray(CellGeometry geometry);
-  // External view: `memory` must be exactly geometry.memory_bytes() long and
-  // outlive the array (a registered MR on a collector).
-  CellArray(CellGeometry geometry, std::span<std::byte> memory);
   // A copy's view would still point at the source's cells; moves keep the
   // owned buffer (and so the view) intact.
   CellArray(const CellArray&) = delete;

@@ -8,15 +8,16 @@ Collector::Collector(const DartConfig& config, std::uint32_t collector_id,
                      const CollectorEndpoint& endpoint,
                      const StoreBackendConfig& backend)
     : config_(config),
-      memory_(backend.memory_bytes(config), std::byte{0}),
       rnic_(std::make_unique<rdma::SimulatedRnic>(
-          /*rkey_seed=*/0x5EED'0000ull + collector_id)) {
+          /*rkey_seed=*/0x5EED'0000ull + collector_id)),
+      // Self-owning: the backend's RegionBacking allocates and pre-faults
+      // the memory that is registered below.
+      backend_(make_backend(config, backend)) {
   assert(config.valid());
-  assert(backend.valid(config));
 
   pd_ = rnic_->alloc_pd();
   const auto pd = pd_;
-  auto mr = rnic_->register_mr(pd, memory_, kDefaultBaseVaddr,
+  auto mr = rnic_->register_mr(pd, backend_->memory(), kDefaultBaseVaddr,
                                rdma::Access::kRemoteWrite |
                                    rdma::Access::kRemoteAtomic);
   assert(mr.ok());
@@ -32,8 +33,6 @@ Collector::Collector(const DartConfig& config, std::uint32_t collector_id,
                                           rdma::PsnPolicy::kIgnore);
   assert(qp_status.ok());
   (void)qp_status;
-
-  backend_ = make_backend(config, backend, std::span<std::byte>(memory_));
 
   info_.collector_id = collector_id;
   info_.mac = endpoint.mac;
@@ -53,34 +52,26 @@ Status Collector::enable_primitives(const DtaPrimitivesConfig& config) {
   assert(primitives_ == nullptr);
 
   auto regions = std::make_unique<PrimitiveRegions>();
-  regions->config = config;
-  regions->ring_mem.assign(config.ring.memory_bytes(), std::byte{0});
-  regions->counter_mem.assign(config.counters.memory_bytes(), std::byte{0});
-  regions->postcard_mem.assign(config.postcards.memory_bytes(), std::byte{0});
+  regions->ring = std::make_unique<AppendRing>(config.ring);
+  regions->counters = std::make_unique<CellArray>(config.counters.geometry());
+  regions->postcards = std::make_unique<PostcardStore>(config.postcards);
 
   // One MR per region, same PD and report QP as the KV store. Only the
   // counter region needs remote-atomic: Append and Postcarding are plain
   // WRITEs, and withholding atomic access elsewhere keeps a misdirected
   // FETCH_ADD from silently corrupting ring or postcard bytes.
-  auto ring_mr = rnic_->register_mr(pd_, regions->ring_mem, kRingBaseVaddr,
-                                    rdma::Access::kRemoteWrite);
+  auto ring_mr = rnic_->register_mr(pd_, regions->ring->memory(),
+                                    kRingBaseVaddr, rdma::Access::kRemoteWrite);
   if (!ring_mr.ok()) return ring_mr.error();
   auto counter_mr =
-      rnic_->register_mr(pd_, regions->counter_mem, kCounterBaseVaddr,
+      rnic_->register_mr(pd_, regions->counters->memory(), kCounterBaseVaddr,
                          rdma::Access::kRemoteWrite |
                              rdma::Access::kRemoteAtomic);
   if (!counter_mr.ok()) return counter_mr.error();
   auto postcard_mr =
-      rnic_->register_mr(pd_, regions->postcard_mem, kPostcardBaseVaddr,
+      rnic_->register_mr(pd_, regions->postcards->memory(), kPostcardBaseVaddr,
                          rdma::Access::kRemoteWrite);
   if (!postcard_mr.ok()) return postcard_mr.error();
-
-  regions->ring = std::make_unique<AppendRing>(
-      config.ring, std::span<std::byte>(regions->ring_mem));
-  regions->counters = std::make_unique<CellArray>(
-      config.counters.geometry(), std::span<std::byte>(regions->counter_mem));
-  regions->postcards = std::make_unique<PostcardStore>(
-      config.postcards, std::span<std::byte>(regions->postcard_mem));
 
   RemoteStoreInfo row = info_;  // same endpoint, QPN, collector id
   row.base_vaddr = kRingBaseVaddr;

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "core/config.hpp"
 #include "core/primitives.hpp"
@@ -165,10 +164,6 @@ class Collector {
 
  private:
   struct PrimitiveRegions {
-    DtaPrimitivesConfig config;
-    std::vector<std::byte> ring_mem;
-    std::vector<std::byte> counter_mem;
-    std::vector<std::byte> postcard_mem;
     std::unique_ptr<AppendRing> ring;
     std::unique_ptr<CellArray> counters;
     std::unique_ptr<PostcardStore> postcards;
@@ -178,7 +173,6 @@ class Collector {
   };
 
   DartConfig config_;
-  std::vector<std::byte> memory_;
   std::unique_ptr<rdma::SimulatedRnic> rnic_;
   std::unique_ptr<StoreBackend> backend_;
   RemoteStoreInfo info_;

@@ -19,17 +19,15 @@ RotatingCollector::RotatingCollector(const DartConfig& config,
 
   for (std::uint32_t r = 0; r < 2; ++r) {
     Region& region = regions_[r];
-    region.memory.assign(config.memory_bytes(), std::byte{0});
+    region.store = std::make_unique<DartStore>(config);
     // Disjoint vaddr ranges so both MRs coexist on the RNIC.
     region.base_vaddr =
         Collector::kDefaultBaseVaddr + r * (config.memory_bytes() + (1u << 20));
-    auto mr = rnic_.register_mr(pd, region.memory, region.base_vaddr,
+    auto mr = rnic_.register_mr(pd, region.store->memory(), region.base_vaddr,
                                 rdma::Access::kRemoteWrite |
                                     rdma::Access::kRemoteAtomic);
     assert(mr.ok());
     region.rkey = mr.value().rkey;
-    region.store = std::make_unique<DartStore>(
-        config, std::span<std::byte>(region.memory));
   }
 }
 

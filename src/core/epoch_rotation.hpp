@@ -26,9 +26,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/result.hpp"
 #include "common/seqlock.hpp"
@@ -103,8 +103,7 @@ class RotatingCollector {
 
  private:
   struct Region {
-    std::vector<std::byte> memory;
-    std::unique_ptr<DartStore> store;
+    std::unique_ptr<DartStore> store;  // self-owning; its memory is the MR
     std::uint32_t rkey = 0;
     std::uint64_t base_vaddr = 0;
   };

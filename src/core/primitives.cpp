@@ -51,13 +51,6 @@ AppendRing::AppendRing(const AppendRingConfig& config)
   assert(config_.valid());
 }
 
-AppendRing::AppendRing(const AppendRingConfig& config,
-                       std::span<std::byte> memory)
-    : config_(config), backing_(memory) {
-  assert(config_.valid());
-  assert(memory.size() == config.memory_bytes());
-}
-
 void AppendRing::encode_entry(std::uint64_t seq,
                               std::span<const std::byte> value,
                               std::vector<std::byte>& out) {
@@ -120,13 +113,6 @@ PostcardStore::PostcardStore(const PostcardConfig& config)
     : config_(config),
       backing_(static_cast<std::size_t>(config.memory_bytes())) {
   assert(config_.valid());
-}
-
-PostcardStore::PostcardStore(const PostcardConfig& config,
-                             std::span<std::byte> memory)
-    : config_(config), backing_(memory) {
-  assert(config_.valid());
-  assert(memory.size() == config.memory_bytes());
 }
 
 void PostcardStore::encode_hop_payload(const PostcardConfig& config,

@@ -24,8 +24,8 @@
 //                  path; a per-hop validity bitmap (stored checksum ==
 //                  flow checksum) says which hops have reported.
 //
-// Every structure is a view over a RegionBacking (store.hpp): self-owning in
-// simulations, external over a registered MR on a collector. The local
+// Every structure owns its region through a RegionBacking (store.hpp); a
+// collector registers that memory as the structure's MR. The local
 // mutators (write_entry / fetch_add / write_hop) are the reference semantics
 // of the corresponding RDMA op — differential tests drive the wire path
 // through the simulated RNIC and assert byte-identical memory.
@@ -128,7 +128,6 @@ struct DtaPrimitivesConfig {
 class AppendRing {
  public:
   explicit AppendRing(const AppendRingConfig& config);
-  AppendRing(const AppendRingConfig& config, std::span<std::byte> memory);
 
   [[nodiscard]] const AppendRingConfig& config() const noexcept {
     return config_;
@@ -189,7 +188,6 @@ class AppendRing {
 class PostcardStore {
  public:
   explicit PostcardStore(const PostcardConfig& config);
-  PostcardStore(const PostcardConfig& config, std::span<std::byte> memory);
 
   [[nodiscard]] const PostcardConfig& config() const noexcept {
     return config_;

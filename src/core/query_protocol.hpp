@@ -132,6 +132,7 @@ struct FrameHeader {
 
 // Field offsets every request and response shares: the gateway and the
 // client's retry path edit encoded frames in place at these offsets.
+inline constexpr std::size_t kFrameOpOffset = 3;
 inline constexpr std::size_t kFrameIdOffset = 4;
 inline constexpr std::size_t kFrameEpochOffset = 12;
 inline constexpr std::size_t kFrameFlagsOffset = 16;

@@ -1,9 +1,63 @@
 #include "core/store.hpp"
 
+#include <sys/mman.h>
+
 #include <cassert>
+#include <cstdint>
 #include <cstring>
+#include <new>
 
 namespace dart::core {
+
+namespace {
+
+constexpr std::size_t kPageBytes = 4096;  // the smallest page the kernel maps
+
+[[nodiscard]] constexpr std::size_t round_up(std::size_t n,
+                                             std::size_t align) noexcept {
+  return (n + align - 1) / align * align;
+}
+
+// Maps `reserved` zeroed bytes (whole huge pages) at a huge-page boundary:
+// over-maps by one huge page, trims the misaligned ends, then advises.
+std::byte* map_huge_aligned(std::size_t reserved) {
+  constexpr std::size_t kHuge = RegionBacking::kHugePageBytes;
+  void* raw = ::mmap(nullptr, reserved + kHuge, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  const auto base = reinterpret_cast<std::uintptr_t>(raw);
+  const std::size_t head = round_up(base, kHuge) - base;
+  auto* p = static_cast<std::byte*>(raw) + head;
+  if (head != 0) ::munmap(raw, head);
+  if (head != kHuge) ::munmap(p + reserved, kHuge - head);
+  (void)::madvise(p, reserved, MADV_HUGEPAGE);  // a no-op under THP `never`
+  return p;
+}
+
+}  // namespace
+
+RegionBacking::RegionBacking(std::size_t bytes) {
+  if (bytes < kHugePageBytes) {
+    // Value-initialised: the zero fill is the pre-fault.
+    owned_ = {new std::byte[bytes](), Release{bytes}};
+  } else {
+    const std::size_t reserved = round_up(bytes, kHugePageBytes);
+    owned_ = {map_huge_aligned(reserved), Release{reserved}};
+    // Anonymous pages are already zero; a write per page faults them in.
+    for (std::size_t off = 0; off < bytes; off += kPageBytes) {
+      owned_.get()[off] = std::byte{0};
+    }
+  }
+  memory_ = {owned_.get(), bytes};
+}
+
+void RegionBacking::Release::operator()(std::byte* p) const noexcept {
+  if (reserved >= kHugePageBytes) {
+    ::munmap(p, reserved);
+  } else {
+    delete[] p;
+  }
+}
 
 DartStore::DartStore(const DartConfig& config)
     : config_(config),

@@ -11,10 +11,11 @@
 // The same byte layout serves two producers:
 //   - the in-process simulation path (write()/write_one()), used by the
 //     Monte-Carlo benches, and
-//   - the RDMA path: the store can be constructed over *external* memory (a
-//     registered MR) into which the simulated RNIC DMAs switch-crafted
-//     report payloads. slot_vaddr() gives switches the remote address of a
-//     slot, and encode_slot_payload() is the exact wire payload of a report.
+//   - the RDMA path: the store's memory is registered as an MR into which
+//     the simulated RNIC DMAs switch-crafted report payloads (a store can
+//     also be a view over external memory). slot_vaddr() gives switches the
+//     remote address of a slot, and encode_slot_payload() is the exact wire
+//     payload of a report.
 //
 // The store itself never trusts a checksum match as proof of identity —
 // that interpretation (and its failure modes: empty returns and return
@@ -24,6 +25,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -81,16 +83,24 @@ struct SlotView {
 // Every collector-side structure (the DartStore and the DTA primitive
 // regions: append ring, counter-cell array, postcard slot groups) is a flat
 // byte region with the same two provisioning modes:
-//   - self-owning: the structure allocates zeroed memory (simulation use);
-//   - external: the structure is a *view* over caller-owned memory — in the
-//     real system a registered MR the RNIC DMAs into (RDMA use).
+//   - self-owning: the structure allocates zeroed memory, which a collector
+//     registers as the MR the RNIC DMAs into;
+//   - external: the structure is a *view* over caller-owned memory.
 // RegionBacking is that seam: one place that owns the mode distinction so
 // the structures above it only ever see a span.
+//
+// Self-owning mode is the one allocator of collector-side DMA memory (see
+// docs/ARCHITECTURE.md). Like ibv_reg_mr pinning an MR, it faults every page
+// in up front. A region of at least kHugePageBytes is mapped 2 MiB-aligned
+// and advised MADV_HUGEPAGE before its first touch, so random slot writes
+// miss the TLB once per 2 MiB rather than per 4 KiB; a smaller one stays an
+// exact-size heap allocation, as rounding it up would inflate its RSS.
 class RegionBacking {
  public:
-  // Self-owning: allocates `bytes` zeroed bytes.
-  explicit RegionBacking(std::size_t bytes)
-      : owned_(bytes, std::byte{0}), memory_(owned_) {}
+  static constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+  // Self-owning: allocates `bytes` zeroed, pre-faulted bytes.
+  explicit RegionBacking(std::size_t bytes);
 
   // External view: `memory` must outlive the backing.
   explicit RegionBacking(std::span<std::byte> memory) : memory_(memory) {}
@@ -100,14 +110,26 @@ class RegionBacking {
     return memory_;
   }
   [[nodiscard]] std::size_t size() const noexcept { return memory_.size(); }
-  [[nodiscard]] bool owning() const noexcept { return !owned_.empty(); }
+  [[nodiscard]] bool owning() const noexcept { return owned_ != nullptr; }
+  // Bytes held by a self-owning backing: size() below kHugePageBytes, else
+  // size() rounded up to whole huge pages. 0 for an external view.
+  [[nodiscard]] std::size_t reserved() const noexcept {
+    return owned_.get_deleter().reserved;
+  }
 
   void clear() noexcept {
     if (!memory_.empty()) std::memset(memory_.data(), 0, memory_.size());
   }
 
  private:
-  std::vector<std::byte> owned_;  // empty when external memory is used
+  // munmap if reserved >= kHugePageBytes, else delete[]. No initialiser:
+  // unique_ptr value-initialises its deleter, zeroing `reserved`.
+  struct Release {
+    std::size_t reserved;
+    void operator()(std::byte* p) const noexcept;
+  };
+
+  std::unique_ptr<std::byte, Release> owned_;  // null for an external view
   std::span<std::byte> memory_;
 };
 

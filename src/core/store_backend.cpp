@@ -38,12 +38,6 @@ SketchBackend::SketchBackend(const SketchBackendConfig& config)
   assert(config.valid());
 }
 
-SketchBackend::SketchBackend(const SketchBackendConfig& config,
-                             std::span<std::byte> memory)
-    : config_(config), cells_(config.geometry(), memory) {
-  assert(config.valid());
-}
-
 QueryResult SketchBackend::resolve(std::span<const std::byte> key,
                                    ReturnPolicy /*policy*/) const {
   // A sketch has no per-key value to vote over; the resolve contract here is
@@ -120,20 +114,6 @@ std::vector<HeavyHitter> SketchBackend::top_k(std::size_t k) const {
 // ---------------------------------------------------------------------------
 // factory
 // ---------------------------------------------------------------------------
-
-std::unique_ptr<StoreBackend> make_backend(const DartConfig& dart,
-                                           const StoreBackendConfig& backend,
-                                           std::span<std::byte> memory) {
-  assert(backend.valid(dart));
-  assert(memory.size() == backend.memory_bytes(dart));
-  switch (backend.kind) {
-    case StoreBackendKind::kKv:
-      return std::make_unique<KvBackend>(dart, memory);
-    case StoreBackendKind::kSketch:
-      return std::make_unique<SketchBackend>(backend.sketch, memory);
-  }
-  return nullptr;
-}
 
 std::unique_ptr<StoreBackend> make_backend(const DartConfig& dart,
                                            const StoreBackendConfig& backend) {

@@ -85,13 +85,6 @@ struct StoreBackendConfig {
   StoreBackendKind kind = StoreBackendKind::kKv;
   SketchBackendConfig sketch{};  // used iff kind == kSketch
 
-  // MR bytes the chosen backend needs under `dart` (KV geometry lives in
-  // DartConfig; sketch geometry here).
-  [[nodiscard]] constexpr std::uint64_t memory_bytes(
-      const DartConfig& dart) const noexcept {
-    return kind == StoreBackendKind::kKv ? dart.memory_bytes()
-                                         : sketch.memory_bytes();
-  }
   [[nodiscard]] constexpr bool valid(const DartConfig& dart) const noexcept {
     return kind == StoreBackendKind::kKv ? dart.valid() : sketch.valid();
   }
@@ -103,9 +96,8 @@ struct HeavyHitter {
   std::uint64_t count = 0;
 };
 
-// The seam. Implementations are views over an MR byte region (external
-// mode) or self-owning (simulation mode) via RegionBacking, like every
-// other collector-side structure.
+// The seam. Implementations own their memory through a self-owning
+// RegionBacking; a Collector registers that memory as its MR.
 class StoreBackend {
  public:
   virtual ~StoreBackend() = default;
@@ -143,10 +135,7 @@ class StoreBackend {
 // DartStore re-homed behind the seam (the default backend).
 class KvBackend final : public StoreBackend {
  public:
-  // Self-owning (simulation) and external-MR modes, like DartStore.
   explicit KvBackend(const DartConfig& config) : store_(config) {}
-  KvBackend(const DartConfig& config, std::span<std::byte> memory)
-      : store_(config, memory) {}
 
   [[nodiscard]] StoreBackendKind kind() const noexcept override {
     return StoreBackendKind::kKv;
@@ -186,9 +175,6 @@ class KvBackend final : public StoreBackend {
 class SketchBackend final : public StoreBackend {
  public:
   explicit SketchBackend(const SketchBackendConfig& config);
-  // External mode: `memory` must be exactly config.memory_bytes() long and
-  // outlive the backend (a registered MR on a collector).
-  SketchBackend(const SketchBackendConfig& config, std::span<std::byte> memory);
 
   [[nodiscard]] const SketchBackendConfig& config() const noexcept {
     return config_;
@@ -261,13 +247,7 @@ class SketchBackend final : public StoreBackend {
   std::uint64_t offers_rejected_ = 0;
 };
 
-// Factory over external MR memory (`memory` must be exactly
-// backend.memory_bytes(dart) long) — what Collector bring-up calls.
-[[nodiscard]] std::unique_ptr<StoreBackend> make_backend(
-    const DartConfig& dart, const StoreBackendConfig& backend,
-    std::span<std::byte> memory);
-
-// Self-owning factory for simulations and reference twins.
+// The factory behind Collector bring-up, simulations and reference twins.
 [[nodiscard]] std::unique_ptr<StoreBackend> make_backend(
     const DartConfig& dart, const StoreBackendConfig& backend);
 

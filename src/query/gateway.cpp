@@ -386,7 +386,12 @@ void QueryGateway::handle_upstream_response(core::Family family,
   }
   const std::uint64_t logical = alias->second;
   const auto it = upstream_.find(logical);
-  if (it == upstream_.end() || it->second.op->family != family) {
+  // An answer to another op answers nothing that was asked; a query-v2
+  // answer's op byte is its outcome, so any outcome answers a query.
+  if (it == upstream_.end() || it->second.op->family != family ||
+      (family != core::Family::kQuery &&
+       std::to_integer<std::uint8_t>(payload[core::kFrameOpOffset]) !=
+           it->second.op->answer_op)) {
     ++upstream_unexpected_;
     return;
   }

@@ -88,6 +88,25 @@ TEST(CrcParity, AllKernelsAgreeOnRandomInputs) {
   }
 }
 
+// Every length up to four 64-byte blocks plus a tail, at every alignment:
+// each tail length 1–15 behind each fold path (16-byte loop, 64-byte loop)
+// goes through the overlapping final block at least once.
+TEST(CrcParity, EveryLengthAndAlignment) {
+  if (!detail::crc32_clmul_usable()) GTEST_SKIP() << "no PCLMUL on this host";
+  SplitMix64 rng(0x7A11'B10CULL);
+  constexpr std::size_t kMaxLen = 4 * 64 + 16;
+  const auto backing = random_bytes(rng, kMaxLen + 16);
+  for (std::size_t align = 0; align < 16; ++align) {
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const std::byte* p = backing.data() + align;
+      const auto state = static_cast<std::uint32_t>(rng.next());
+      ASSERT_EQ(detail::crc32_update_bytewise(state, p, len),
+                detail::crc32_update_clmul(state, p, len))
+          << "len=" << len << " align=" << align;
+    }
+  }
+}
+
 // Satellite (b): Crc32::update must consume an unaligned head byte-wise
 // before switching to 8-byte slicing steps. Start the same logical stream at
 // every offset 0–15 within an over-aligned buffer and in byte-dribbled

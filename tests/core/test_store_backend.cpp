@@ -75,7 +75,6 @@ TEST(StoreBackendConformance, KvFactoryGeometryMatchesDartConfig) {
   const DartConfig dart = kv_config();
   const StoreBackendConfig choice;  // default = KV
   ASSERT_TRUE(choice.valid(dart));
-  EXPECT_EQ(choice.memory_bytes(dart), dart.memory_bytes());
 
   auto backend = make_backend(dart, choice);
   ASSERT_NE(backend, nullptr);
@@ -90,7 +89,6 @@ TEST(StoreBackendConformance, SketchFactoryGeometry) {
   const DartConfig dart = kv_config();
   const StoreBackendConfig choice = sketch_choice();
   ASSERT_TRUE(choice.valid(dart));
-  EXPECT_EQ(choice.memory_bytes(dart), choice.sketch.memory_bytes());
 
   auto backend = make_backend(dart, choice);
   ASSERT_NE(backend, nullptr);

@@ -68,28 +68,17 @@ class RawClient final : public net::Node {
   net::NodeId peer_;
 };
 
-// A collector service that answers every query-v2 read with a found answer
-// whose value length field (200) overruns the 8 value bytes it carries: a
-// frame with an intact header but a body no parser accepts.
-class OverrunService final : public net::Node {
+// A stand-in collector service: answers each request it receives with the
+// payload answer() builds from it (none: stay silent), counting the answers.
+class FakeService : public net::Node {
  public:
-  OverrunService(net::Ipv4Addr ip, net::NodeId peer) : ip_(ip), peer_(peer) {}
+  FakeService(net::Ipv4Addr ip, net::NodeId peer) : ip_(ip), peer_(peer) {}
 
   void receive(net::Packet packet, std::uint64_t /*now_ns*/) override {
     const auto frame = net::parse_udp_frame(packet.bytes());
     if (!frame) return;
-    const auto request = core::parse_query_request(frame->payload);
-    if (!request) return;
-    core::QueryResponse response;
-    response.request_id = request->request_id;
-    response.epoch = request->epoch;
-    response.outcome = core::QueryOutcome::kFound;
-    response.value = value_of(1);
-    auto payload = core::encode_query_response(response);
-    // The value length sits after the 19-byte response header and the
-    // checksum-matches and distinct-values bytes.
-    payload[21] = std::byte{0x00};
-    payload[22] = std::byte{200};
+    const auto payload = answer(frame->payload);
+    if (payload.empty()) return;
     net::UdpFrameSpec spec;
     spec.src_ip = ip_;
     spec.dst_ip = frame->ip.src;
@@ -101,9 +90,98 @@ class OverrunService final : public net::Node {
 
   std::uint64_t answered = 0;
 
+ protected:
+  virtual std::vector<std::byte> answer(std::span<const std::byte> request) = 0;
+
  private:
   net::Ipv4Addr ip_;
   net::NodeId peer_;
+};
+
+// Answers every query-v2 read with a found answer whose value length field
+// (200) overruns the 8 value bytes it carries: a frame with an intact header
+// but a body no parser accepts.
+class OverrunService final : public FakeService {
+ public:
+  using FakeService::FakeService;
+
+ protected:
+  std::vector<std::byte> answer(std::span<const std::byte> request) override {
+    const auto parsed = core::parse_query_request(request);
+    if (!parsed) return {};
+    core::QueryResponse response;
+    response.request_id = parsed->request_id;
+    response.epoch = parsed->epoch;
+    response.outcome = core::QueryOutcome::kFound;
+    response.value = value_of(1);
+    auto payload = core::encode_query_response(response);
+    // The value length sits after the 19-byte response header and the
+    // checksum-matches and distinct-values bytes.
+    payload[21] = std::byte{0x00};
+    payload[22] = std::byte{200};
+    return payload;
+  }
+};
+
+// Answers every primitive read with a well-formed, empty drain-ring answer,
+// whatever op was asked.
+class DrainAnsweringService final : public FakeService {
+ public:
+  using FakeService::FakeService;
+
+ protected:
+  std::vector<std::byte> answer(std::span<const std::byte> request) override {
+    const auto parsed = core::parse_primitive_request(request);
+    if (!parsed) return {};
+    core::PrimitiveResponse response;
+    response.op = core::PrimitiveOp::kDrainRing;
+    response.request_id = parsed->request_id;
+    response.epoch = parsed->epoch;
+    return core::encode_primitive_response(response);
+  }
+};
+
+// A gateway whose one upstream collector service is a FakeService.
+template <typename Service>
+struct FakeUpstreamRig {
+  FakeUpstreamRig() : crafter(dart_config()) {
+    gcfg.gateway_ip = net::Ipv4Addr::from_octets(10, 9, 2, 254);
+    gcfg.virtual_ips = {net::Ipv4Addr::from_octets(10, 9, 2, 0)};
+    gcfg.service_ips = {net::Ipv4Addr::from_octets(10, 0, 50, 0)};
+    gateway = std::make_unique<QueryGateway>(
+        gcfg, crafter, [this](net::Ipv4Addr ip) -> std::optional<net::NodeId> {
+          for (const auto& [addr, node] : arp) {
+            if (addr == ip) return node;
+          }
+          return std::nullopt;
+        });
+    const auto gw_node = sim.add_node(*gateway);
+    service = std::make_unique<Service>(gcfg.service_ips[0], gw_node);
+    const auto svc_node = sim.add_node(*service);
+    arp.emplace_back(gcfg.gateway_ip, gw_node);
+    arp.emplace_back(gcfg.service_ips[0], svc_node);
+    sim.connect(gw_node, svc_node, /*latency_ns=*/1000);
+    gateway->bind_metrics(registry, "dart");
+  }
+
+  static core::DartConfig dart_config() {
+    core::DartConfig cfg;
+    cfg.n_slots = 1 << 8;
+    cfg.n_addresses = 2;
+    cfg.value_bytes = 8;
+    return cfg;
+  }
+
+  // Every try of one read: the first send plus each retry.
+  [[nodiscard]] std::uint64_t tries() const { return 1 + gcfg.max_retries; }
+
+  core::ReportCrafter crafter;
+  net::Simulator sim{1};
+  std::vector<std::pair<net::Ipv4Addr, net::NodeId>> arp;
+  QueryGatewayConfig gcfg;
+  std::unique_ptr<QueryGateway> gateway;
+  std::unique_ptr<Service> service;
+  obs::MetricRegistry registry;
 };
 
 // Gateway in front of a 2-collector KV cluster with primitives enabled,
@@ -599,40 +677,15 @@ TEST_F(GatewayFixture, MetricsExposeGatewayCountersAndLatency) {
 // cached or fan out: the gateway counts it malformed and leaves the request
 // to its deadline, which retries and finally synthesizes a timeout.
 TEST(GatewayUpstream, UnparsableAnswerIsNeitherRetiredNorCached) {
-  core::DartConfig cfg;
-  cfg.n_slots = 1 << 8;
-  cfg.n_addresses = 2;
-  cfg.value_bytes = 8;
-  const core::ReportCrafter crafter(cfg);
-  net::Simulator sim{1};
-  std::vector<std::pair<net::Ipv4Addr, net::NodeId>> arp;
-  auto resolver = [&arp](net::Ipv4Addr ip) -> std::optional<net::NodeId> {
-    for (const auto& [addr, node] : arp) {
-      if (addr == ip) return node;
-    }
-    return std::nullopt;
-  };
-  QueryGatewayConfig gcfg;
-  gcfg.gateway_ip = net::Ipv4Addr::from_octets(10, 9, 2, 254);
-  gcfg.virtual_ips = {net::Ipv4Addr::from_octets(10, 9, 2, 0)};
-  gcfg.service_ips = {net::Ipv4Addr::from_octets(10, 0, 50, 0)};
-  QueryGateway gateway(gcfg, crafter, resolver);
-  const auto gw_node = sim.add_node(gateway);
-  OverrunService service(gcfg.service_ips[0], gw_node);
-  const auto svc_node = sim.add_node(service);
-  arp.emplace_back(gcfg.gateway_ip, gw_node);
-  arp.emplace_back(gcfg.service_ips[0], svc_node);
-  sim.connect(gw_node, svc_node, /*latency_ns=*/1000);
-  obs::MetricRegistry registry;
-  gateway.bind_metrics(registry, "dart");
-
+  FakeUpstreamRig<OverrunService> rig;
+  QueryGateway& gateway = *rig.gateway;
   auto& session = gateway.open_session();
   const auto id = session.query(key_of(1));
-  sim.run();
+  rig.sim.run();
 
-  const std::uint64_t tries = 1 + gcfg.max_retries;
-  EXPECT_EQ(service.answered, tries);
-  EXPECT_EQ(registry.snapshot().value_of("dart_gateway_malformed_total"),
+  const std::uint64_t tries = rig.tries();
+  EXPECT_EQ(rig.service->answered, tries);
+  EXPECT_EQ(rig.registry.snapshot().value_of("dart_gateway_malformed_total"),
             static_cast<double>(tries));
   EXPECT_EQ(gateway.upstream_timeouts(), 1u);
   EXPECT_EQ(gateway.inflight(), 0u);
@@ -647,9 +700,40 @@ TEST(GatewayUpstream, UnparsableAnswerIsNeitherRetiredNorCached) {
   // Nothing was cached, so a second read in the same epoch goes upstream.
   const auto hits = gateway.cache().hits();
   (void)session.query(key_of(1));
-  sim.run();
+  rig.sim.run();
   EXPECT_EQ(gateway.cache().hits(), hits);
-  EXPECT_EQ(service.answered, 2 * tries);
+  EXPECT_EQ(rig.service->answered, 2 * tries);
+  EXPECT_EQ(session.pending(), 0u);
+}
+
+// A well-formed answer to a different op than the one asked (a drain-ring
+// answer to a read-counter) is just as unusable: the gateway counts it
+// unexpected and neither retires, caches nor fans it out.
+TEST(GatewayUpstream, AnswerToAnotherOpIsNeitherRetiredNorCached) {
+  FakeUpstreamRig<DrainAnsweringService> rig;
+  QueryGateway& gateway = *rig.gateway;
+  auto& session = gateway.open_session();
+  const auto id = session.read_counter(key_of(1));
+  rig.sim.run();
+
+  const std::uint64_t tries = rig.tries();
+  EXPECT_EQ(rig.service->answered, tries);
+  EXPECT_EQ(gateway.upstream_unexpected(), tries);
+  EXPECT_EQ(gateway.upstream_timeouts(), 1u);
+  EXPECT_EQ(gateway.inflight(), 0u);
+  EXPECT_EQ(gateway.cache().inserts(), 0u);
+  EXPECT_EQ(session.pending(), 0u);
+  const auto resp = session.take_primitive_response(id);
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->op, core::PrimitiveOp::kReadCounter);
+  EXPECT_NE(resp->flags & kResponseGatewayTimeout, 0u);
+
+  // Nothing was cached, so a second read in the same epoch goes upstream.
+  const auto hits = gateway.cache().hits();
+  (void)session.read_counter(key_of(1));
+  rig.sim.run();
+  EXPECT_EQ(gateway.cache().hits(), hits);
+  EXPECT_EQ(rig.service->answered, 2 * tries);
   EXPECT_EQ(session.pending(), 0u);
 }
 
